@@ -103,7 +103,10 @@ def make_workload(text, count, seed):
     for _ in range(count // 2):
         queries.append(("rank", rng.randrange(sigma), rng.randrange(n + 1)))
     for _ in range(count - count // 2):
-        queries.append(("select", rng.randrange(sigma), rng.randrange(1, n + 2)))
+        # Ordinals past count(c) + 1 all answer -1 without a probe, so drawing
+        # from [1, n + 1] would leave almost every select unexercised.
+        c = rng.randrange(sigma)
+        queries.append(("select", c, rng.randrange(1, ref.count(c) + 2)))
     # Boundary battery: block seams, empty/full prefixes, absent symbols,
     # exact occurrence counts and one-past-the-end ordinals.
     nblocks = (n + sigma - 1) // sigma

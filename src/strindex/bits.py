@@ -228,6 +228,24 @@ class RsBitvector:
         return f"RsBitvector(len={self._nbits}, ones={self._ones})"
 
 
+def unary_counts(bv, nzeros):
+    """Run lengths [n_0, ..., n_{z-1}] of bv = 1^{n_0} 0 1^{n_1} 0 ... 1^{n_{z-1}} 0.
+
+    Raises CorruptIndexError unless bv has exactly `nzeros` zeros and ends in
+    a zero.  One pass over the payload; no select calls.
+    """
+    nbits = bv._nbits
+    value = int.from_bytes(struct.pack(f"<{len(bv._words)}Q", *bv._words), "little")
+    runs = format(value, "b").zfill(nbits)[::-1].split("0") if nbits else [""]
+    if len(runs) != nzeros + 1 or runs[-1]:
+        raise CorruptIndexError(
+            f"unary vector of {nbits} bits does not hold exactly {nzeros} "
+            f"runs each closed by a zero"
+        )
+    runs.pop()
+    return list(map(len, runs))
+
+
 def _select_in_word(word, r):
     """Position of the r-th (1-based) set bit inside a 64-bit word."""
     for byte in range(8):
@@ -300,31 +318,18 @@ class BitReader:
         return self._pos
 
     def read(self, width):
-        end = self._pos + width
+        pos = self._pos
+        end = pos + width
         if end > len(self._data) * 8:
             raise CorruptIndexError("bit stream truncated")
-        value = 0
-        got = 0
-        pos = self._pos
-        while got < width:
-            byte = self._data[pos >> 3]
-            offset = pos & 7
-            take = min(8 - offset, width - got)
-            value |= ((byte >> offset) & ((1 << take) - 1)) << got
-            got += take
-            pos += take
         self._pos = end
-        return value
+        chunk = int.from_bytes(self._data[pos >> 3:(end + 7) >> 3], "little")
+        return (chunk >> (pos & 7)) & ((1 << width) - 1)
 
     def read_bv(self, nbits):
-        words = []
-        full = nbits // WORD
-        for _ in range(full):
-            words.append(self.read(WORD))
-        rem = nbits & 63
-        if rem:
-            words.append(self.read(rem))
-        return RsBitvector._from_words(words, nbits)
+        nwords = (nbits + WORD - 1) // WORD
+        payload = self.read(nbits).to_bytes(8 * nwords, "little")
+        return RsBitvector._from_words(list(struct.unpack(f"<{nwords}Q", payload)), nbits)
 
     def align_to_byte(self):
         rem = self._pos & 7

@@ -17,9 +17,11 @@ only counts and permutation shortcuts.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .bits import BitBuilder, BitReader, BitWriter
+from .bits import BitBuilder, BitReader, BitWriter, unary_counts
 from .errors import (
     BadSymbolError,
     CorruptIndexError,
@@ -64,24 +66,18 @@ def max_k(sigma):
 class _Block:
     """Per-block structures; positions are block-local."""
 
-    __slots__ = ("start", "length", "z", "chars", "hashes", "preds", "shortcuts")
+    __slots__ = ("start", "length", "z", "base", "chars", "hashes", "preds",
+                 "shortcuts")
 
-    def __init__(self, start, length, z, chars, hashes, preds, shortcuts):
+    def __init__(self, start, length, z, base, chars, hashes, preds, shortcuts):
         self.start = start
         self.length = length
         self.z = z
+        self.base = base  # base[c]: occurrences of symbols < c in the block
         self.chars = chars  # symbols with n_c >= 1, ascending
         self.hashes = hashes
         self.preds = preds
         self.shortcuts = shortcuts
-
-    def char_base(self, c):
-        """Occurrences of symbols < c inside the block (ones before c-th zero)."""
-        # Ones before the c-th zero == its position minus the c-1 zeros there.
-        return self.z.select0(c) - c + 1 if c else 0
-
-    def char_count(self, c):
-        return (self.z.select0(c + 1) - c) - self.char_base(c)
 
 
 @dataclass
@@ -160,6 +156,8 @@ class StringIndex:
         if t < 1:
             raise MalformedInputError(f"probe budget t must be >= 1, got {t}")
         n, sigma = text.n, text.sigma
+        if sigma < 2:
+            raise MalformedInputError(f"alphabet size must be >= 2, got {sigma}")
         if not 1 <= k <= max_k(sigma):
             raise MalformedInputError(
                 f"k={k} outside [1, {max_k(sigma)}] for sigma={sigma}"
@@ -182,11 +180,7 @@ class StringIndex:
             for c in range(sigma):
                 zb.append_run(1, counts[c])
                 zb.append_run(0, 1)
-            base = [0] * sigma
-            acc = 0
-            for c in range(sigma):
-                base[c] = acc
-                acc += counts[c]
+            base = _prefix_counts(counts)
             pi = [0] * length
             slot = list(base)
             for i in range(length):
@@ -197,6 +191,7 @@ class StringIndex:
                 start,
                 length,
                 zb.build(),
+                base,
                 chars,
                 {c: MonotoneHash(occ[c], sigma) for c in chars},
                 {c: PredIndex(occ[c], sigma, k) for c in chars},
@@ -248,7 +243,7 @@ class StringIndex:
         b = vc.rank0(pos)
         jp = j - (vc.select0(b) - b + 1) if b else j
         blk = self.blocks[b]
-        q = blk.char_base(c) + jp - 1
+        q = blk.base[c] + jp - 1
         local = blk.shortcuts.invert(q, self._evaluator(blk, text, session))
         answer = blk.start + local
         if session.count - before > self._sel_budget:
@@ -296,17 +291,17 @@ class StringIndex:
         """Forward permutation evaluation: one probe, then probe-free lookups."""
         start = blk.start
         hashes = blk.hashes
-        char_base = blk.char_base
+        base = blk.base
 
         def pi(x):
             c = text.access(session, start + x)
-            return char_base(c) + hashes[c].eval(x)
+            return base[c] + hashes[c].eval(x)
 
         return pi
 
     def _in_block_select(self, blk, c, text, session):
         """S(r): block-local position of the (r+1)-th occurrence of c."""
-        base = blk.char_base(c)
+        base = blk.base[c]
         shortcuts = blk.shortcuts
         pi = self._evaluator(blk, text, session)
 
@@ -328,6 +323,7 @@ class StringIndex:
             sum(blk.z.directory_bits for blk in self.blocks)
             + sum(v.directory_bits for v in self.cross)
             + sum(blk.shortcuts.marked.directory_bits for blk in self.blocks)
+            + sum(8 * blk.base.itemsize * len(blk.base) for blk in self.blocks)
         )
         total_bits = 8 * len(self.to_bytes())
         component = z_bits + cross_bits + mmphf_bits + pred_bits + shortcut_bits
@@ -416,6 +412,11 @@ class StringIndex:
             raise CorruptIndexError(f"bad magic {magic!r}")
         if version != VERSION:
             raise CorruptIndexError(f"unsupported version {version}")
+        if not (2 <= sigma <= n and t >= 1 and 1 <= k <= max_k(sigma)):
+            raise CorruptIndexError(
+                f"bad header: n={n} sigma={sigma} t={t} k={k} needs "
+                f"2 <= sigma <= n, t >= 1 and 1 <= k <= {max_k(sigma)}"
+            )
         table_end = _HEADER.size + nsections * _TABLE_ENTRY.size
         if len(data) < table_end:
             raise CorruptIndexError("section table truncated")
@@ -431,50 +432,49 @@ class StringIndex:
             if tag not in sections:
                 raise CorruptIndexError(f"missing section {tag}")
         nblocks = (n + sigma - 1) // sigma
+        # Z holds n ones and sigma zeros per block; checking that first keeps
+        # a forged n from sizing the per-block lists below.
+        if (n + nblocks * sigma + 7) // 8 != len(sections[_TAG_Z]):
+            raise CorruptIndexError("Z section length disagrees with the header")
         lengths = [min(sigma, n - b * sigma) for b in range(nblocks)]
 
-        br = _section_reader(sections[_TAG_Z])
-        zs = [br.read_bv(lengths[b] + sigma) for b in range(nblocks)]
-        _finish_section(br, sections[_TAG_Z])
+        br = BitReader(sections[_TAG_Z])
+        zs = [br.read_bv(length + sigma) for length in lengths]
+        counts = [unary_counts(z, sigma) for z in zs]
+        charsets = [[c for c in range(sigma) if cnt[c]] for cnt in counts]
 
-        br = _section_reader(sections[_TAG_CROSS])
-        cross = [_read_unary(br, nblocks) for _ in range(sigma)]
+        # Cross vector c is 1^{count_0[c]} 0 1^{count_1[c]} 0 ..., so Z fixes
+        # its length and its runs.
+        br = BitReader(sections[_TAG_CROSS])
+        cross = []
+        for c, column in enumerate(zip(*counts)):
+            v = br.read_bv(nblocks + sum(column))
+            if unary_counts(v, nblocks) != list(column):
+                raise CorruptIndexError(f"cross vector of symbol {c} disagrees with Z")
+            cross.append(v)
         _finish_section(br, sections[_TAG_CROSS])
 
-        counts = []
-        charsets = []
-        for b in range(nblocks):
-            z = zs[b]
-            cnt = [0] * sigma
-            prev = -1
-            for c in range(sigma):
-                zero = z.select0(c + 1)
-                cnt[c] = zero - prev - 1
-                prev = zero
-            counts.append(cnt)
-            charsets.append([c for c in range(sigma) if cnt[c]])
-
-        br = _section_reader(sections[_TAG_MMPHF])
+        br = BitReader(sections[_TAG_MMPHF])
         hashes_per_block = [
             {c: MonotoneHash.read(br, counts[b][c], sigma) for c in charsets[b]}
             for b in range(nblocks)
         ]
         _finish_section(br, sections[_TAG_MMPHF])
 
-        br = _section_reader(sections[_TAG_PRED])
+        br = BitReader(sections[_TAG_PRED])
         preds_per_block = [
             {c: PredIndex.read(br, counts[b][c], sigma, k) for c in charsets[b]}
             for b in range(nblocks)
         ]
         _finish_section(br, sections[_TAG_PRED])
 
-        br = _section_reader(sections[_TAG_SHORT])
+        br = BitReader(sections[_TAG_SHORT])
         shortcuts = [ShortcutTable.read(br, lengths[b], t) for b in range(nblocks)]
         _finish_section(br, sections[_TAG_SHORT])
 
         blocks = [
             _Block(
-                b * sigma, lengths[b], zs[b], charsets[b],
+                b * sigma, lengths[b], zs[b], _prefix_counts(counts[b]), charsets[b],
                 hashes_per_block[b], preds_per_block[b], shortcuts[b],
             )
             for b in range(nblocks)
@@ -482,26 +482,15 @@ class StringIndex:
         return cls(n, sigma, t, k, fingerprint, cross, blocks)
 
 
-def _section_reader(payload):
-    return BitReader(payload)
+def _prefix_counts(counts):
+    """base[c] = counts[0] + ... + counts[c-1], as a compact unsigned array."""
+    return array("I", accumulate(counts[:-1], initial=0))
 
 
 def _finish_section(br, payload):
     consumed = br.bits_consumed
     if (consumed + 7) // 8 != len(payload):
         raise CorruptIndexError("section length disagrees with parsed content")
-
-
-def _read_unary(br, nzeros):
-    """Read a 1^a 0 1^b 0 ... stream until `nzeros` zeros have been seen."""
-    builder = BitBuilder()
-    seen = 0
-    while seen < nzeros:
-        bit = br.read(1)
-        builder.append(bit)
-        if not bit:
-            seen += 1
-    return builder.build()
 
 
 def build(text, t, k=1):

@@ -43,6 +43,15 @@ def test_workload_is_deterministic_and_covers_boundaries():
     assert len(a) > 100  # boundary battery rides on top
 
 
+def test_workload_selects_mostly_have_an_answer():
+    text = make_random_text(3000, 16, seed=4)
+    ref = Reference(text)
+    selects = [(c, j) for kind, c, j in make_workload(text, 2000, seed=0)
+               if kind == "select"]
+    answered = sum(ref.select(c, j) != -1 for c, j in selects)
+    assert answered >= 0.9 * len(selects)
+
+
 def test_empty_workload():
     text = make_random_text(64, 4, seed=5)
     assert make_workload(text, 0, seed=0) == []

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strindex import NotFoundError, OutOfRangeError, RsBitvector
-from strindex.bits import BitReader, BitWriter, CorruptIndexError
+from strindex.bits import BitReader, BitWriter, CorruptIndexError, unary_counts
 
 
 def bv(pattern):
@@ -140,3 +140,21 @@ def test_write_bv_read_bv_round_trip():
     br = BitReader(bw.getvalue())
     assert br.read_bv(v1.nbits) == v1
     assert br.read_bv(v2.nbits) == v2
+
+
+@given(st.lists(st.integers(0, 70), min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_unary_counts_inverts_unary_encoding(counts):
+    v = bv("".join("1" * m + "0" for m in counts))
+    assert unary_counts(v, len(counts)) == counts
+
+
+@pytest.mark.parametrize("pattern, nzeros", [
+    ("1010", 1),   # one zero too many
+    ("1010", 3),   # one zero too few
+    ("10101", 2),  # ones after the last zero
+    ("", 1),
+])
+def test_unary_counts_rejects_malformed(pattern, nzeros):
+    with pytest.raises(CorruptIndexError):
+        unary_counts(bv(pattern), nzeros)

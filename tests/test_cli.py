@@ -111,6 +111,20 @@ def test_verify_corrupted_index(sample_files, capsys, tmp_path):
     assert rc != 0
 
 
+def test_query_on_zero_sigma_header_is_usage_error(sample_files, capsys, tmp_path):
+    data, index = sample_files
+    blob = bytearray(index.read_bytes())
+    blob[13:17] = bytes(4)  # header: magic(4) version(1) n(8), then sigma(4)
+    bad = tmp_path / "sigma0.idx"
+    bad.write_bytes(bytes(blob))
+    rc, out, err = run(capsys, [
+        "query", "--index", str(bad), "--input", str(data),
+        "--format", "raw8", "--sigma", "3", "rank", "0", "3",
+    ])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_pairing_mismatch_exit_code(sample_files, capsys, tmp_path):
     _, index = sample_files
     other = tmp_path / "other.bin"

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from bisect import bisect_right
 from itertools import product
 
 import pytest
@@ -17,6 +19,7 @@ from strindex import (
     rank_budget,
     select_budget,
 )
+from strindex.index import _HEADER, _TABLE_ENTRY, _TAG_CROSS, _TAG_Z
 from conftest import brute_rank, brute_select, make_random_text, positions_of
 
 
@@ -107,6 +110,8 @@ def test_build_parameter_validation(sample_text):
         build(sample_text, t=1, k=max_k(sample_text.sigma) + 1)
     with pytest.raises(MalformedInputError):
         build(sample_text, t=1, k=0)
+    with pytest.raises(MalformedInputError):
+        build(ProbedText([0, 0, 0], 1), t=1)
 
 
 def test_exhaustive_small_strings():
@@ -228,6 +233,72 @@ def test_deserialization_errors():
         StringIndex.from_bytes(blob[:-3])  # truncated section
 
 
+def _patch_header(blob, **fields):
+    names = ("magic", "version", "n", "sigma", "t", "k", "fingerprint", "nsections")
+    header = dict(zip(names, _HEADER.unpack_from(blob, 0)))
+    header.update(fields)
+    return _HEADER.pack(*(header[name] for name in names)) + blob[_HEADER.size:]
+
+
+@pytest.mark.parametrize("fields", [
+    {"sigma": 0},
+    {"sigma": 1},
+    {"sigma": 101},  # sigma > n
+    {"t": 0},
+    {"k": 0},
+    {"k": 99},
+    {"n": 2**40},  # Z section far shorter than the header implies
+], ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()))
+def test_bad_header_fields_are_corrupt(fields):
+    blob = build(make_random_text(100, 8, seed=1), t=2).to_bytes()
+    with pytest.raises(CorruptIndexError):
+        StringIndex.from_bytes(_patch_header(blob, **fields))
+
+
+def _section_offset(blob, tag):
+    for i in range(_HEADER.unpack_from(blob, 0)[-1]):
+        got, off, _ = _TABLE_ENTRY.unpack_from(blob, _HEADER.size + i * _TABLE_ENTRY.size)
+        if got == tag:
+            return off
+    raise KeyError(tag)
+
+
+@pytest.mark.parametrize("tag", [_TAG_Z, _TAG_CROSS], ids=["z", "cross"])
+@pytest.mark.parametrize("where", [0.0, 0.37, 1.0])
+def test_unary_payload_bit_flip_is_corrupt(tag, where):
+    text = make_random_text(100, 8, seed=1)
+    ix = build(text, t=2)
+    blob = bytearray(ix.to_bytes())
+    # Both sections hold n ones and sigma zeros per block; flip one of them.
+    bit = round(where * (text.n + len(ix.blocks) * text.sigma - 1))
+    blob[_section_offset(blob, tag) + bit // 8] ^= 1 << (bit % 8)
+    with pytest.raises(CorruptIndexError):
+        StringIndex.from_bytes(bytes(blob))
+
+
+def _zipf_text(n, sigma, seed):
+    rng = random.Random(seed)
+    cum, acc = [], 0
+    for r in range(sigma):
+        acc += 10**6 // (r + 1)
+        cum.append(acc)
+    return ProbedText([bisect_right(cum, rng.randrange(acc)) for _ in range(n)], sigma)
+
+
+@pytest.mark.parametrize("text, t, k, sha256", [
+    (make_random_text(3000, 64, seed=11), 4, 2,
+     "0beb39c392684c2a9eaebd4a43b4f62852a391c83cdb17431e9284fb1d941a49"),
+    (_zipf_text(3000, 16, seed=12), 2, 2,
+     "a36f0c7ccb51418d374444bcf1af7c3d69611e02945124be5cbebe2c1ca7051c"),
+], ids=["uniform", "zipf"])
+def test_index_bytes_are_pinned(text, t, k, sha256):
+    ix = build(text, t, k)
+    blob = ix.to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == sha256
+    back = StringIndex.from_bytes(blob)
+    assert [blk.base for blk in back.blocks] == [blk.base for blk in ix.blocks]
+
+
 def test_pairing_mismatch_detected_at_query_time():
     text = make_random_text(100, 8, seed=2)
     other = make_random_text(100, 8, seed=3)
@@ -259,6 +330,11 @@ def test_space_report_components_sum():
     assert rep.cross_bits == text.n + text.sigma * nblocks
     assert rep.z_bits == text.n + text.sigma * nblocks
     assert sum(v.ones for v in ix.cross) == text.n
+    vector_dirs = sum(v.directory_bits for v in ix.cross) + sum(
+        blk.z.directory_bits + blk.shortcuts.marked.directory_bits for blk in ix.blocks
+    )
+    base_bits = 8 * ix.blocks[0].base.itemsize * text.sigma * nblocks
+    assert rep.directory_bits == vector_dirs + base_bits
 
 
 def test_rank_at_exact_text_end_multiple_of_sigma():
