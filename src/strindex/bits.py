@@ -18,6 +18,17 @@ _WORD_MASK = (1 << WORD) - 1
 DIRECTORY_ENTRY_BITS = 32  # accounting width of one directory entry
 
 
+def width(x):
+    """Bits needed to write any value in [0, x); at least 1."""
+    return max(1, (x - 1).bit_length())
+
+
+def split_fields(value, count, w):
+    """The `count` consecutive w-bit fields of `value`, lowest bits first."""
+    mask = (1 << w) - 1
+    return [(value >> (i * w)) & mask for i in range(count)]
+
+
 class BitBuilder:
     """Accumulates bits (optionally in runs) and freezes into an RsBitvector."""
 

@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .bits import BitBuilder, BitReader, BitWriter, unary_counts
+from .bits import BitBuilder, BitReader, BitWriter, unary_counts, width
 from .errors import (
     BadSymbolError,
     CorruptIndexError,
@@ -60,7 +60,7 @@ def rank_budget(t, k):
 
 def max_k(sigma):
     """Largest admissible predecessor sub-sampling rate for this alphabet."""
-    return max(1, (sigma - 1).bit_length())
+    return width(sigma)
 
 
 class _Block:
@@ -454,16 +454,20 @@ class StringIndex:
             cross.append(v)
         _finish_section(br, sections[_TAG_CROSS])
 
+        # Each set is one fixed-size field; a memo that lives for this call
+        # only lets sets with equal payloads share one immutable object.
         br = BitReader(sections[_TAG_MMPHF])
+        memo = {}
         hashes_per_block = [
-            {c: MonotoneHash.read(br, counts[b][c], sigma) for c in charsets[b]}
+            {c: MonotoneHash.read(br, counts[b][c], sigma, memo) for c in charsets[b]}
             for b in range(nblocks)
         ]
         _finish_section(br, sections[_TAG_MMPHF])
 
         br = BitReader(sections[_TAG_PRED])
+        memo = {}
         preds_per_block = [
-            {c: PredIndex.read(br, counts[b][c], sigma, k) for c in charsets[b]}
+            {c: PredIndex.read(br, counts[b][c], sigma, k, memo) for c in charsets[b]}
             for b in range(nblocks)
         ]
         _finish_section(br, sections[_TAG_PRED])

@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 
-from .bits import BitReader, BitWriter
+from .bits import BitReader, BitWriter, split_fields, width
 from .errors import CorruptIndexError, MalformedInputError
 
 # Audit constants for the size bound checked by tests:
@@ -38,9 +38,65 @@ _PAIR = 1
 _TRIE = 2
 
 
-def _width(u):
-    """Bit width of keys drawn from [u]; also the sampling rate beta."""
-    return max(1, (u - 1).bit_length())
+def _bucket_bits(size, sw):
+    if size <= 1:
+        return 0
+    if size == 2:
+        return sw + 1
+    return (2 * size - 1) + (size - 1) * sw
+
+
+def increasing_below(keys, u):
+    """True when keys is strictly increasing and every key is < u."""
+    return all(a < b for a, b in zip(keys, keys[1:])) and (not keys or keys[-1] < u)
+
+
+def decode_trie(payload, nleaves, w, sw, rw=0):
+    """Parse a preorder shape-and-skip trie from the bits of the int `payload`.
+
+    This is the layout of _Trie and, with rw > 0, of pred.BlindTrie: a leaf
+    is a 0 bit; an internal node is a 1 bit, its skip in sw bits and, when
+    rw > 0, its subtree's first and last leaf rank in rw bits each.  Returns
+    (branch, left, right, minleaf, maxleaf).  Raises CorruptIndexError
+    unless every branch depth is < w, every stored leaf range is the one the
+    shape implies, and there are exactly nleaves leaves, so that the trie is
+    exactly (2 * nleaves - 1) + (nleaves - 1) * (sw + 2 * rw) bits long.
+    """
+    branch, left, right, minleaf, maxleaf = [], [], [], [], []
+    skip_mask = (1 << sw) - 1
+    rank_mask = (1 << rw) - 1
+    pos = leaves = 0
+
+    def rec(depth):
+        nonlocal pos, leaves
+        bit = (payload >> pos) & 1
+        pos += 1
+        if not bit:
+            leaves += 1
+            return ~(leaves - 1)
+        node = len(branch)
+        d = depth + ((payload >> pos) & skip_mask)
+        if d >= w or node == nleaves - 1:
+            raise CorruptIndexError("trie node past the key width or the leaf count")
+        stored = ((payload >> (pos + sw)) & rank_mask,
+                  (payload >> (pos + sw + rw)) & rank_mask)
+        pos += sw + 2 * rw
+        branch.append(d)
+        left.append(0)
+        right.append(0)
+        minleaf.append(leaves)
+        maxleaf.append(0)
+        left[node] = rec(d + 1)
+        right[node] = rec(d + 1)
+        maxleaf[node] = leaves - 1
+        if rw and stored != (minleaf[node], maxleaf[node]):
+            raise CorruptIndexError("trie leaf range disagrees with its shape")
+        return node
+
+    rec(0)
+    if leaves != nleaves:
+        raise CorruptIndexError("trie leaf count disagrees with bucket size")
+    return branch, left, right, minleaf, maxleaf
 
 
 class _Trie:
@@ -106,7 +162,7 @@ class MonotoneHash:
             raise MalformedInputError(f"key {keys[-1]} outside universe [0, {u})")
         self.m = len(keys)
         self.u = u
-        self._w = _width(u)
+        self._w = width(u)  # key width, also the sampling rate beta
         self._beta = self._w
         self._samples = [keys[r] for r in range(self._beta, self.m, self._beta)]
         self._buckets = [
@@ -142,25 +198,29 @@ class MonotoneHash:
 
     # -- size accounting ---------------------------------------------------
 
+    @staticmethod
+    def payload_bits(m, u):
+        """Payload size of every hash of m keys over [u]; what write() emits.
+
+        Samples take (ceil(m / beta) - 1) * w bits; a pair bucket takes sw + 1;
+        a trie over s keys has s - 1 internal nodes, so (2s - 1) + (s - 1) * sw.
+        """
+        w = width(u)
+        sw = width(w)
+        # Every bucket but the first is preceded by its w-bit separator.
+        return max(0, sum(w + _bucket_bits(min(w, m - lo), sw)
+                          for lo in range(0, m, w)) - w)
+
     def bits(self):
         """Exact payload size in bits; equals what write() emits."""
-        w = self._w
-        sw = max(1, (w - 1).bit_length())
-        total = len(self._samples) * w
-        for kind, data in self._buckets:
-            if kind == _PAIR:
-                total += sw + 1
-            elif kind == _TRIE:
-                nleaves = len(data.branch) + 1
-                total += (2 * nleaves - 1) + len(data.branch) * sw
-        return total
+        return self.payload_bits(self.m, self.u)
 
     # -- serialization -----------------------------------------------------
 
     def write(self, bw):
         """Emit the payload; m and u are carried by the container."""
         w = self._w
-        sw = max(1, (w - 1).bit_length())
+        sw = width(w)
         for s in self._samples:
             bw.write(s, w)
         for kind, data in self._buckets:
@@ -185,57 +245,64 @@ class MonotoneHash:
         rec(0, 0)
 
     @classmethod
-    def read(cls, br, m, u):
-        """Rebuild from a payload previously produced by write()."""
+    def read(cls, br, m, u, memo=None):
+        """Rebuild from a payload previously produced by write().
+
+        The payload is read as one field of payload_bits(m, u) bits.  `memo`
+        belongs to one load of hashes over the same u.  It maps m to that
+        size, (m, payload) to the hash already decoded from it and
+        (_Trie, s, bits) to a bucket trie; a hit is returned again, since
+        neither is ever changed after construction.
+        """
+        if memo is None:
+            memo = {}
+        size = memo.get(m)
+        if size is None:
+            size = memo[m] = cls.payload_bits(m, u)
+        key = (m, br.read(size) if size else 0)
+        h = memo.get(key)
+        if h is None:
+            h = memo[key] = cls._decode(key[1], m, u, memo)
+        return h
+
+    @classmethod
+    def _decode(cls, payload, m, u, memo):
+        """Parse the int `payload`; raise CorruptIndexError on any field that
+        write() cannot produce."""
         h = object.__new__(cls)
         h.m = m
         h.u = u
-        h._w = _width(u)
-        h._beta = h._w
-        w, beta = h._w, h._beta
-        sw = max(1, (w - 1).bit_length())
-        nsamples = max(0, (m + beta - 1) // beta - 1)
-        h._samples = [br.read(w) for _ in range(nsamples)]
-        h._buckets = []
-        for lo in range(0, m, beta):
-            size = min(beta, m - lo)
+        h._w = h._beta = w = width(u)
+        sw = width(w)
+        nsamples = max(0, (m + w - 1) // w - 1)
+        h._samples = samples = split_fields(payload, nsamples, w)
+        if not increasing_below(samples, u):
+            raise CorruptIndexError("hash samples are not increasing keys below u")
+        pos = nsamples * w
+        h._buckets = buckets = []
+        for lo in range(0, m, w):
+            size = min(w, m - lo)
+            nbits = _bucket_bits(size, sw)
+            field = (payload >> pos) & ((1 << nbits) - 1)
+            pos += nbits
             if size == 1:
-                h._buckets.append((_EMPTY, None))
+                buckets.append((_EMPTY, None))
             elif size == 2:
-                d = br.read(sw)
-                v = br.read(1)
-                h._buckets.append((_PAIR, (d, v)))
+                # The smaller key holds the 0 at the first differing bit.
+                d = field & ((1 << sw) - 1)
+                if d >= w or field >> sw:
+                    raise CorruptIndexError("pair bucket the encoder cannot produce")
+                buckets.append((_PAIR, (d, 0)))
             else:
-                h._buckets.append((_TRIE, cls._read_trie(br, size, sw, w)))
+                key = (_Trie, size, field)
+                trie = memo.get(key)
+                if trie is None:
+                    trie = memo[key] = object.__new__(_Trie)
+                    trie.branch, trie.left, trie.right, _, _ = decode_trie(
+                        field, size, w, sw
+                    )
+                buckets.append((_TRIE, trie))
         return h
-
-    @staticmethod
-    def _read_trie(br, nleaves, sw, w):
-        trie = object.__new__(_Trie)
-        trie.branch, trie.left, trie.right = [], [], []
-        leaves = 0
-
-        def rec(depth):
-            nonlocal leaves
-            if not br.read(1):
-                leaf = leaves
-                leaves += 1
-                return ~leaf
-            d = depth + br.read(sw)
-            if d >= w:
-                raise CorruptIndexError("trie branch depth exceeds key width")
-            node = len(trie.branch)
-            trie.branch.append(d)
-            trie.left.append(0)
-            trie.right.append(0)
-            trie.left[node] = rec(d + 1)
-            trie.right[node] = rec(d + 1)
-            return node
-
-        root = rec(0)
-        if leaves != nleaves or (root >= 0) != (nleaves > 1):
-            raise CorruptIndexError("trie shape disagrees with bucket size")
-        return trie
 
     def to_bytes(self):
         bw = BitWriter()

@@ -11,7 +11,7 @@ gap structure bounds the forward evaluations by 2 * spacing + 1.
 
 from __future__ import annotations
 
-from .bits import BitBuilder
+from .bits import BitBuilder, split_fields, width
 from .errors import MalformedInputError, OutOfRangeError, ProbeBudgetError
 
 
@@ -37,7 +37,7 @@ class ShortcutTable:
             seen[v] = 1
         self.length = length
         self.spacing = spacing
-        self._tgt_width = max(1, (length - 1).bit_length()) if length else 1
+        self._tgt_width = width(length)
         back = {}
         visited = bytearray(length)
         for start in range(length):
@@ -108,7 +108,8 @@ class ShortcutTable:
         tab = object.__new__(cls)
         tab.length = length
         tab.spacing = spacing
-        tab._tgt_width = max(1, (length - 1).bit_length()) if length else 1
+        tab._tgt_width = tw = width(length)
         tab.marked = br.read_bv(length)
-        tab.targets = [br.read(tab._tgt_width) for _ in range(tab.marked.ones)]
+        ones = tab.marked.ones
+        tab.targets = split_fields(br.read(ones * tw), ones, tw)
         return tab

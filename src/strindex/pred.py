@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .errors import MalformedInputError, ProbeBudgetError
+from .bits import split_fields, width
+from .errors import CorruptIndexError, MalformedInputError, ProbeBudgetError
+from .mmphf import decode_trie, increasing_below
 
 #: Largest member count answered by storing nothing at all: a binary search
 #: over m + 1 outcomes costs ceil(log2(m + 1)) <= 3 accessor calls.
@@ -42,8 +44,17 @@ def budget(k):
     return 3 + max(0, (k - 1).bit_length())
 
 
-def _width(sigma):
-    return max(1, (sigma - 1).bit_length())
+def _rank_width(g, k):
+    """Bits of a leaf rank in a bucket trie: at most ceil(g / k) samples."""
+    return max(1, ((g + k - 1) // k).bit_length())
+
+
+def _bucket_bits(size, k, w, sw, rw):
+    """Payload of a bucket of `size` members: samples past the first, or a trie."""
+    nsamp = (size + k - 1) // k
+    if nsamp <= 2:
+        return (nsamp - 1) * w  # sample 0 is already in top
+    return (2 * nsamp - 1) + (nsamp - 1) * (sw + 2 * rw)
 
 
 class BlindTrie:
@@ -142,41 +153,6 @@ class BlindTrie:
 
         rec(self.root, 0)
 
-    @classmethod
-    def read(cls, br, nleaves, w, skip_width, rank_width):
-        t = object.__new__(cls)
-        t.nleaves = nleaves
-        t.w = w
-        t.branch, t.left, t.right, t.minleaf, t.maxleaf = [], [], [], [], []
-        leaves = 0
-
-        def rec(depth):
-            nonlocal leaves
-            if not br.read(1):
-                leaf = leaves
-                leaves += 1
-                return ~leaf
-            d = depth + br.read(skip_width)
-            node = len(t.branch)
-            t.branch.append(d)
-            t.left.append(0)
-            t.right.append(0)
-            t.minleaf.append(br.read(rank_width))
-            t.maxleaf.append(br.read(rank_width))
-            t.left[node] = rec(d + 1)
-            t.right[node] = rec(d + 1)
-            return node
-
-        t.root = rec(0)
-        if leaves != nleaves:
-            raise MalformedInputError("trie leaf count disagrees with sample count")
-        return t
-
-    def bits(self, skip_width, rank_width):
-        ninternal = len(self.branch)
-        return (2 * self.nleaves - 1) + ninternal * (skip_width + 2 * rank_width)
-
-
 class PredIndex:
     """R(p) over a sorted member set, fetching members through S(rank)."""
 
@@ -184,7 +160,7 @@ class PredIndex:
 
     def __init__(self, members, sigma, k):
         members = list(members)
-        g = _width(sigma)
+        g = width(sigma)
         if not 1 <= k <= g:
             raise MalformedInputError(f"k={k} outside [1, {g}]")
         prev = -1
@@ -198,7 +174,7 @@ class PredIndex:
         self.sigma = sigma
         self.k = k
         self.g = g
-        self._w = _width(sigma)
+        self._w = g
         self._budget = budget(k)
         if self.m <= DIRECT_LIMIT:
             self._top = None
@@ -252,8 +228,8 @@ class PredIndex:
                     local = i
         else:
             local = data.predecessor(p, lambda i: s(base + i * k))
-            if local is None:  # cannot happen: sample 0 equals top[j] < p
-                raise AssertionError("bucket lost its anchor sample")
+            if local is None:  # sample 0 is top[j] < p unless index and text disagree
+                raise CorruptIndexError("bucket lost its anchor sample")
         rho = base + local * k
         lo, hi = rho + 1, min(rho + k, bucket_end)
         while lo < hi:
@@ -266,30 +242,31 @@ class PredIndex:
 
     # -- size accounting and serialization ----------------------------------
 
-    def _rank_width(self):
-        return max(1, ((self.g + self.k - 1) // self.k).bit_length())
+    @staticmethod
+    def payload_bits(m, sigma, k):
+        """Payload size of every set of m members over [sigma] at rate k.
+
+        EMPTY_PRED_BITS up to DIRECT_LIMIT; otherwise one w-bit top key per
+        bucket of g = w members, plus each bucket's samples past the first or
+        its trie, whose L leaves take (2L - 1) + (L - 1) * (sw + 2 * rw) bits.
+        """
+        if m <= DIRECT_LIMIT:
+            return EMPTY_PRED_BITS
+        w = width(sigma)
+        sw, rw = width(w), _rank_width(w, k)
+        return sum(w + _bucket_bits(min(w, m - base), k, w, sw, rw)
+                   for base in range(0, m, w))
 
     def bits(self):
         """Exact payload size in bits; EMPTY_PRED_BITS when nothing is stored."""
-        if self._top is None:
-            return EMPTY_PRED_BITS
-        w = self._w
-        sw = max(1, (w - 1).bit_length())
-        rw = self._rank_width()
-        total = len(self._top) * w
-        for kind, data in self._buckets:
-            if kind == _EXPLICIT:
-                total += (len(data) - 1) * w  # sample 0 is already in top
-            else:
-                total += data.bits(sw, rw)
-        return total
+        return self.payload_bits(self.m, self.sigma, self.k)
 
     def write(self, bw):
         if self._top is None:
             return
         w = self._w
-        sw = max(1, (w - 1).bit_length())
-        rw = self._rank_width()
+        sw = width(w)
+        rw = _rank_width(self.g, self.k)
         for key in self._top:
             bw.write(key, w)
         for kind, data in self._buckets:
@@ -300,31 +277,65 @@ class PredIndex:
                 data.write(bw, sw, rw)
 
     @classmethod
-    def read(cls, br, m, sigma, k):
+    def read(cls, br, m, sigma, k, memo=None):
+        """Rebuild from a payload previously produced by write().
+
+        The payload is read as one field of payload_bits(m, sigma, k) bits.
+        `memo` belongs to one load of sets over the same sigma and k.  It
+        maps m to that size, (m, payload) to the index already decoded from
+        it and (BlindTrie, L, bits) to a bucket trie; a hit is returned
+        again, since neither is ever changed after construction.
+        """
+        if memo is None:
+            memo = {}
+        size = memo.get(m)
+        if size is None:
+            size = memo[m] = cls.payload_bits(m, sigma, k)
+        key = (m, br.read(size) if size else 0)
+        ix = memo.get(key)
+        if ix is None:
+            ix = memo[key] = cls._decode(key[1], m, sigma, k, memo)
+        return ix
+
+    @classmethod
+    def _decode(cls, payload, m, sigma, k, memo):
+        """Parse the int `payload`; raise CorruptIndexError on any field that
+        write() cannot produce."""
         ix = object.__new__(cls)
         ix.m = m
         ix.sigma = sigma
         ix.k = k
-        ix.g = _width(sigma)
-        ix._w = _width(sigma)
+        ix.g = ix._w = w = width(sigma)
         ix._budget = budget(k)
+        ix._top = ix._buckets = None
         if m <= DIRECT_LIMIT:
-            ix._top = None
-            ix._buckets = None
             return ix
-        g = ix.g
-        w = ix._w
-        sw = max(1, (w - 1).bit_length())
-        rw = ix._rank_width()
-        ntop = (m + g - 1) // g
-        ix._top = [br.read(w) for _ in range(ntop)]
-        ix._buckets = []
-        for base in range(0, m, g):
-            nsamp = (min(base + g, m) - base + k - 1) // k
+        sw, rw = width(w), _rank_width(w, k)
+        ntop = (m + w - 1) // w
+        ix._top = top = split_fields(payload, ntop, w)
+        pos = ntop * w
+        ix._buckets = buckets = []
+        stored = []  # every stored member, in order
+        for j, base in enumerate(range(0, m, w)):
+            size = min(w, m - base)
+            nsamp = (size + k - 1) // k
+            nbits = _bucket_bits(size, k, w, sw, rw)
+            field = (payload >> pos) & ((1 << nbits) - 1)
+            pos += nbits
             if nsamp <= 2:
-                keys = [ix._top[base // g]]
-                keys += [br.read(w) for _ in range(nsamp - 1)]
-                ix._buckets.append((_EXPLICIT, keys))
+                keys = [top[j]] if nsamp == 1 else [top[j], field]
+                buckets.append((_EXPLICIT, keys))
+                stored += keys
             else:
-                ix._buckets.append((_TRIE, BlindTrie.read(br, nsamp, w, sw, rw)))
+                key = (BlindTrie, nsamp, field)
+                trie = memo.get(key)
+                if trie is None:
+                    trie = memo[key] = object.__new__(BlindTrie)
+                    trie.nleaves, trie.w, trie.root = nsamp, w, 0
+                    (trie.branch, trie.left, trie.right, trie.minleaf,
+                     trie.maxleaf) = decode_trie(field, nsamp, w, sw, rw)
+                buckets.append((_TRIE, trie))
+                stored.append(top[j])
+        if not increasing_below(stored, sigma):
+            raise CorruptIndexError("predecessor samples are not increasing below sigma")
         return ix

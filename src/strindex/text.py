@@ -80,12 +80,9 @@ class ProbedText:
         """FNV-1a over n (u64 LE), sigma (u32 LE), then each symbol as u32 LE."""
         if self._fingerprint is None:
             h = _FNV_OFFSET
-            for byte in struct.pack("<QI", self._n, self._sigma):
+            n = self._n
+            for byte in struct.pack(f"<QI{n}I", n, self._sigma, *self._payload):
                 h = ((h ^ byte) * _FNV_PRIME) & _U64
-            pack = struct.pack
-            for sym in self._payload:
-                for byte in pack("<I", sym):
-                    h = ((h ^ byte) * _FNV_PRIME) & _U64
             self._fingerprint = h
         return self._fingerprint
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strindex import NotFoundError, OutOfRangeError, RsBitvector
-from strindex.bits import BitReader, BitWriter, CorruptIndexError, unary_counts
+from strindex.bits import BitReader, BitWriter, CorruptIndexError, unary_counts, width
 
 
 def bv(pattern):
@@ -158,3 +158,7 @@ def test_unary_counts_inverts_unary_encoding(counts):
 def test_unary_counts_rejects_malformed(pattern, nzeros):
     with pytest.raises(CorruptIndexError):
         unary_counts(bv(pattern), nzeros)
+
+
+def test_width_is_bits_for_values_below_x():
+    assert [width(x) for x in (0, 1, 2, 3, 4, 5, 1024, 1025)] == [1, 1, 1, 2, 2, 3, 10, 11]

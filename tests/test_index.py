@@ -1,6 +1,7 @@
 import hashlib
 import random
 from bisect import bisect_right
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -14,12 +15,15 @@ from strindex import (
     ProbeSession,
     ProbedText,
     StringIndex,
+    StrindexError,
     build,
     max_k,
     rank_budget,
     select_budget,
 )
-from strindex.index import _HEADER, _TABLE_ENTRY, _TAG_CROSS, _TAG_Z
+from strindex.audit import make_workload
+from strindex.bits import BitReader
+from strindex.index import _HEADER, _TABLE_ENTRY, _TAG_CROSS, _TAG_MMPHF, _TAG_PRED, _TAG_Z
 from conftest import brute_rank, brute_select, make_random_text, positions_of
 
 
@@ -255,11 +259,14 @@ def test_bad_header_fields_are_corrupt(fields):
         StringIndex.from_bytes(_patch_header(blob, **fields))
 
 
-def _section_offset(blob, tag):
+def _section(blob, tag):
+    """(offset, length) of section `tag` in a serialized index."""
     for i in range(_HEADER.unpack_from(blob, 0)[-1]):
-        got, off, _ = _TABLE_ENTRY.unpack_from(blob, _HEADER.size + i * _TABLE_ENTRY.size)
+        got, off, length = _TABLE_ENTRY.unpack_from(
+            blob, _HEADER.size + i * _TABLE_ENTRY.size
+        )
         if got == tag:
-            return off
+            return off, length
     raise KeyError(tag)
 
 
@@ -271,7 +278,7 @@ def test_unary_payload_bit_flip_is_corrupt(tag, where):
     blob = bytearray(ix.to_bytes())
     # Both sections hold n ones and sigma zeros per block; flip one of them.
     bit = round(where * (text.n + len(ix.blocks) * text.sigma - 1))
-    blob[_section_offset(blob, tag) + bit // 8] ^= 1 << (bit % 8)
+    blob[_section(blob, tag)[0] + bit // 8] ^= 1 << (bit % 8)
     with pytest.raises(CorruptIndexError):
         StringIndex.from_bytes(bytes(blob))
 
@@ -342,3 +349,63 @@ def test_rank_at_exact_text_end_multiple_of_sigma():
     ix = build(text, t=1)
     assert ix.rank(text, ProbeSession(), 1, 4) == 2
     assert ix.rank(text, ProbeSession(), 0, 4) == 2
+
+
+def test_load_reads_each_set_once_and_shares_equal_ones(monkeypatch):
+    ix = build(make_random_text(4096, 1024, seed=3), t=4, k=1)
+    blob = ix.to_bytes()
+    pairs = sum(len(blk.chars) for blk in ix.blocks)
+    reads = Counter()
+    read = BitReader.read
+
+    def counting_read(self, width):
+        reads[bytes(self._data)] += 1
+        return read(self, width)
+
+    monkeypatch.setattr(BitReader, "read", counting_read)
+    back = StringIndex.from_bytes(blob)
+    for tag in (_TAG_MMPHF, _TAG_PRED):
+        off, length = _section(blob, tag)
+        assert reads[blob[off:off + length]] <= pairs
+    hashes = {id(h) for blk in back.blocks for h in blk.hashes.values()}
+    preds = {id(p) for blk in back.blocks for p in blk.preds.values()}
+    assert len(hashes) < pairs / 4
+    assert len(preds) < pairs / 100
+    assert back.to_bytes() == blob
+
+
+def test_loaded_index_answers_as_built_with_equal_probes():
+    text = _zipf_text(3000, 32, seed=14)
+    ix = build(text, t=2, k=2)
+    back = StringIndex.from_bytes(ix.to_bytes())
+    for kind, c, arg in make_workload(text, 600, seed=5):
+        s1, s2 = ProbeSession(), ProbeSession()
+        assert getattr(ix, kind)(text, s1, c, arg) == getattr(back, kind)(text, s2, c, arg)
+        assert s1.count == s2.count
+
+
+@pytest.mark.parametrize("tag", [_TAG_MMPHF, _TAG_PRED], ids=["mmphf", "pred"])
+def test_hash_and_pred_bit_flips_fail_cleanly(tag):
+    # sigma=32, k=2: predecessor buckets of 5 members keep 3 samples in a trie.
+    text = _zipf_text(500, 32, seed=13)
+    blob = build(text, t=2, k=2).to_bytes()
+    occ = positions_of(text)
+    off, length = _section(blob, tag)
+    loaded = 0
+    for bit in range(8 * length):
+        flipped = bytearray(blob)
+        flipped[off + bit // 8] ^= 1 << (bit % 8)
+        try:
+            ix = StringIndex.from_bytes(bytes(flipped))
+        except CorruptIndexError:
+            continue
+        loaded += 1
+        try:
+            for c, positions in occ.items():
+                for j in range(1, len(positions) + 1):
+                    ix.select(text, ProbeSession(), c, j)
+                for p in range(1, text.n, 7):
+                    ix.rank(text, ProbeSession(), c, p)
+        except StrindexError:
+            pass
+    assert loaded < 8 * length

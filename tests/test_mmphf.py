@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strindex import MalformedInputError, MonotoneHash
-from strindex.bits import BitReader, BitWriter
-from strindex.mmphf import SIZE_C, SIZE_CPRIME, STANDALONE_HEADER_BITS, _width
+from strindex.bits import BitReader, BitWriter, width
+from strindex.mmphf import SIZE_C, SIZE_CPRIME, STANDALONE_HEADER_BITS
 
 
 def test_two_keys():
@@ -94,7 +94,7 @@ def test_bits_meet_audit_bound():
     m, u = 64, 2**16
     keys = list(range(0, m * 1000, 1000))
     h = MonotoneHash(keys, u)
-    beta = _width(u)
+    beta = width(u)
     bound = SIZE_C * m * math.log2(math.log2(u)) + SIZE_CPRIME * (m / beta) * math.log2(u)
     assert h.bits() <= bound
 
@@ -117,3 +117,28 @@ def test_tiny_universe():
     assert h.eval(1) == 1
     h = MonotoneHash([1], 2)
     assert h.eval(1) == 0
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_payload_size_depends_only_on_m_and_u(data):
+    u = data.draw(st.integers(min_value=1, max_value=1 << 20))
+    keys = sorted(data.draw(st.sets(st.integers(0, u - 1), max_size=120)))
+    h = MonotoneHash(keys, u)
+    bw = BitWriter()
+    h.write(bw)
+    assert MonotoneHash.payload_bits(len(keys), u) == h.bits() == bw.bit_length
+    g = MonotoneHash.read(BitReader(bw.getvalue()), len(keys), u)
+    for rank, key in enumerate(keys):
+        assert g.eval(key) == rank
+
+
+def test_read_shares_equal_payloads_through_memo():
+    bw = BitWriter()
+    for keys in ([3, 9], [1, 3], [2, 9], [5]):  # [3, 9] and [2, 9] split at bit 0
+        MonotoneHash(keys, 16).write(bw)
+    br = BitReader(bw.getvalue())
+    memo = {}
+    a, b, c, d = (MonotoneHash.read(br, m, 16, memo) for m in (2, 2, 2, 1))
+    assert a is c and a is not b
+    assert d is MonotoneHash.read(BitReader(b""), 1, 16, memo)

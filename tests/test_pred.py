@@ -2,15 +2,16 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strindex import MalformedInputError, PredIndex
-from strindex.bits import BitReader, BitWriter
+from strindex.bits import BitReader, BitWriter, width
 from strindex.pred import (
     DIRECT_LIMIT,
     EMPTY_PRED_BITS,
     BlindTrie,
     budget,
-    _width,
 )
 
 
@@ -47,7 +48,7 @@ def test_hand_examples():
 
 def test_exhaustive_all_subsets_small_sigma():
     for sigma in range(2, 8):
-        g = _width(sigma)
+        g = width(sigma)
         universe = range(sigma)
         for size in range(sigma + 1):
             for members in combinations(universe, size):
@@ -57,7 +58,7 @@ def test_exhaustive_all_subsets_small_sigma():
 
 def test_exhaustive_all_subsets_sigma_10():
     sigma = 10
-    g = _width(sigma)
+    g = width(sigma)
     for size in range(sigma + 1):
         for members in combinations(range(sigma), size):
             for k in range(1, g + 1):
@@ -120,7 +121,7 @@ def test_serialization_round_trip():
     rng = random.Random(7)
     sigma = 4096
     members = sorted(rng.sample(range(sigma), 100))
-    for k in (1, 3, _width(sigma)):
+    for k in (1, 3, width(sigma)):
         ix = PredIndex(members, sigma, k)
         bw = BitWriter()
         ix.write(bw)
@@ -195,3 +196,19 @@ def test_trie_randomized_wide_keys():
             fetch = CountingFetch(keys)
             assert trie.predecessor(p, fetch) == brute_predecessor_rank(keys, p)
             assert fetch.calls <= 3
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_payload_size_depends_only_on_m_sigma_and_k(data):
+    sigma = data.draw(st.integers(min_value=2, max_value=1 << 16))
+    k = data.draw(st.integers(min_value=1, max_value=width(sigma)))
+    members = sorted(data.draw(st.sets(st.integers(0, sigma - 1), max_size=150)))
+    ix = PredIndex(members, sigma, k)
+    bw = BitWriter()
+    ix.write(bw)
+    assert PredIndex.payload_bits(len(members), sigma, k) == ix.bits() == bw.bit_length
+    g = PredIndex.read(BitReader(bw.getvalue()), len(members), sigma, k)
+    bw2 = BitWriter()
+    g.write(bw2)
+    assert bw2.getvalue() == bw.getvalue()
