@@ -30,7 +30,7 @@ def split_fields(value, count, w):
 
 
 class BitBuilder:
-    """Accumulates bits (optionally in runs) and freezes into an RsBitvector."""
+    """Accumulates bits one at a time and freezes into an RsBitvector."""
 
     def __init__(self):
         self._words = []
@@ -45,21 +45,6 @@ class BitBuilder:
             self._words.append(self._acc)
             self._acc = 0
             self._fill = 0
-
-    def append_run(self, bit, count):
-        """Append `count` copies of `bit`."""
-        if count < 0:
-            raise ValueError("negative run length")
-        while count > 0:
-            take = min(count, WORD - self._fill)
-            if bit:
-                self._acc |= ((1 << take) - 1) << self._fill
-            self._fill += take
-            count -= take
-            if self._fill == WORD:
-                self._words.append(self._acc)
-                self._acc = 0
-                self._fill = 0
 
     def build(self):
         words = list(self._words)
@@ -83,6 +68,13 @@ class RsBitvector:
         self._nbits = v._nbits
         self._ranks = v._ranks
         self._ones = v._ones
+
+    @classmethod
+    def from_int(cls, value, nbits):
+        """The nbits-bit vector whose bit i is bit i of the int `value`."""
+        nwords = (nbits + WORD - 1) // WORD
+        payload = value.to_bytes(8 * nwords, "little")
+        return cls._from_words(list(struct.unpack(f"<{nwords}Q", payload)), nbits)
 
     @classmethod
     def _from_words(cls, words, nbits):
@@ -239,6 +231,15 @@ class RsBitvector:
         return f"RsBitvector(len={self._nbits}, ones={self._ones})"
 
 
+def unary_bitvector(counts):
+    """bv = 1^{n_0} 0 1^{n_1} 0 ... 1^{n_{z-1}} 0 for counts [n_0, ..., n_{z-1}].
+
+    The inverse of unary_counts: one run string, read as an int, bit 0 last.
+    """
+    runs = "".join(["0" + "1" * c for c in reversed(counts)])
+    return RsBitvector.from_int(int(runs, 2) if runs else 0, len(runs))
+
+
 def unary_counts(bv, nzeros):
     """Run lengths [n_0, ..., n_{z-1}] of bv = 1^{n_0} 0 1^{n_1} 0 ... 1^{n_{z-1}} 0.
 
@@ -338,12 +339,4 @@ class BitReader:
         return (chunk >> (pos & 7)) & ((1 << width) - 1)
 
     def read_bv(self, nbits):
-        nwords = (nbits + WORD - 1) // WORD
-        payload = self.read(nbits).to_bytes(8 * nwords, "little")
-        return RsBitvector._from_words(list(struct.unpack(f"<{nwords}Q", payload)), nbits)
-
-    def align_to_byte(self):
-        rem = self._pos & 7
-        if rem:
-            if self.read(8 - rem) != 0:
-                raise CorruptIndexError("nonzero padding bits")
+        return RsBitvector.from_int(self.read(nbits), nbits)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import struct
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 
-from .bits import BitBuilder, BitReader, BitWriter, unary_counts, width
+from .bits import BitReader, BitWriter, unary_bitvector, unary_counts, width
 from .errors import (
     BadSymbolError,
     CorruptIndexError,
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .mmphf import MonotoneHash
 from .perm import ShortcutTable, eval_budget
-from .pred import PredIndex, budget as scall_budget
+from .pred import DIRECT_LIMIT, PredIndex, budget as scall_budget
 
 MAGIC = b"SSIX"
 VERSION = 1
@@ -98,34 +98,15 @@ class SpaceReport:
     directory_bits: int  # in-memory rank directories; rebuilt on load
     total_bits: int
 
-    @property
-    def redundancy(self):
-        return self.total_bits
-
     def as_dict(self):
-        return {
-            "n": self.n,
-            "sigma": self.sigma,
-            "t": self.t,
-            "k": self.k,
-            "z_bits": self.z_bits,
-            "cross_bits": self.cross_bits,
-            "mmphf_bits": self.mmphf_bits,
-            "pred_bits": self.pred_bits,
-            "shortcut_bits": self.shortcut_bits,
-            "shortcut_target_bits": self.shortcut_target_bits,
-            "header_bits": self.header_bits,
-            "directory_bits": self.directory_bits,
-            "r_bits": self.total_bits,
-        }
+        """Every field, with total_bits reported last as r_bits."""
+        d = asdict(self)
+        d["r_bits"] = d.pop("total_bits")
+        return d
 
     def lines(self):
-        d = self.as_dict()
         out = [f"n={self.n} sigma={self.sigma} t={self.t} k={self.k}"]
-        for key in ("z_bits", "cross_bits", "mmphf_bits", "pred_bits",
-                    "shortcut_bits", "shortcut_target_bits", "header_bits",
-                    "directory_bits", "r_bits"):
-            out.append(f"{key}={d[key]}")
+        out += [f"{key}={value}" for key, value in list(self.as_dict().items())[4:]]
         out.append(f"bits_per_symbol={self.total_bits / self.n:.3f}")
         return out
 
@@ -163,48 +144,44 @@ class StringIndex:
                 f"k={k} outside [1, {max_k(sigma)}] for sigma={sigma}"
             )
         symbols = text.symbols()
-        nblocks = (n + sigma - 1) // sigma
+        # Each set is encoded to the payload write() emits and decoded through
+        # the memo load uses, so equal sets share one immutable object.
+        hash_widths = MonotoneHash.widths(sigma)
+        pred_widths = PredIndex.widths(sigma, k)
+        hash_memo, pred_memo = {}, {}
         blocks = []
         block_counts = []
-        for b in range(nblocks):
-            start = b * sigma
+        for start in range(0, n, sigma):
             length = min(sigma, n - start)
             occ = {}
-            for i in range(length):
-                occ.setdefault(symbols[start + i], []).append(i)
+            for i, c in enumerate(symbols[start:start + length]):
+                occ.setdefault(c, []).append(i)
             chars = sorted(occ)
             counts = [0] * sigma
+            hashes, preds = {}, {}
             for c in chars:
-                counts[c] = len(occ[c])
-            zb = BitBuilder()
-            for c in range(sigma):
-                zb.append_run(1, counts[c])
-                zb.append_run(0, 1)
+                keys = occ[c]
+                m = counts[c] = len(keys)
+                hashes[c] = MonotoneHash.shared(
+                    MonotoneHash.encode(keys, sigma, hash_widths) if m > 1 else 0,
+                    m, sigma, hash_memo,
+                )
+                preds[c] = PredIndex.shared(
+                    PredIndex.encode(keys, sigma, k, pred_widths)
+                    if m > DIRECT_LIMIT else 0,
+                    m, sigma, k, pred_memo,
+                )
             base = _prefix_counts(counts)
             pi = [0] * length
-            slot = list(base)
-            for i in range(length):
-                c = symbols[start + i]
-                pi[i] = slot[c]
-                slot[c] += 1
+            for c in chars:
+                for r, i in enumerate(occ[c], base[c]):
+                    pi[i] = r
             blocks.append(_Block(
-                start,
-                length,
-                zb.build(),
-                base,
-                chars,
-                {c: MonotoneHash(occ[c], sigma) for c in chars},
-                {c: PredIndex(occ[c], sigma, k) for c in chars},
+                start, length, unary_bitvector(counts), base, chars, hashes, preds,
                 ShortcutTable(pi.__getitem__, length, t),
             ))
             block_counts.append(counts)
-        cross = []
-        for c in range(sigma):
-            cb = BitBuilder()
-            for b in range(nblocks):
-                cb.append_run(1, block_counts[b][c])
-                cb.append_run(0, 1)
-            cross.append(cb.build())
+        cross = [unary_bitvector(column) for column in zip(*block_counts)]
         return cls(n, sigma, t, k, text.fingerprint, cross, blocks)
 
     # -- queries ---------------------------------------------------------------

@@ -21,7 +21,9 @@ Evaluation is a binary search over separators plus one short descent.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import islice
+from operator import lt
 
 from .bits import BitReader, BitWriter, split_fields, width
 from .errors import CorruptIndexError, MalformedInputError
@@ -38,17 +40,58 @@ _PAIR = 1
 _TRIE = 2
 
 
+def trie_bits(nleaves, sw, rw=0):
+    """Size of the encode_trie payload of nleaves keys: nleaves - 1 nodes."""
+    return (2 * nleaves - 1) + (nleaves - 1) * (sw + 2 * rw)
+
+
 def _bucket_bits(size, sw):
     if size <= 1:
         return 0
     if size == 2:
         return sw + 1
-    return (2 * size - 1) + (size - 1) * sw
+    return trie_bits(size, sw)
 
 
 def increasing_below(keys, u):
-    """True when keys is strictly increasing and every key is < u."""
-    return all(a < b for a, b in zip(keys, keys[1:])) and (not keys or keys[-1] < u)
+    """True when keys is strictly increasing, non-negative and below u."""
+    return (all(map(lt, keys, islice(keys, 1, None)))
+            and (not keys or 0 <= keys[0] and keys[-1] < u))
+
+
+def require_increasing_below(keys, u, what):
+    if not increasing_below(keys, u):
+        raise MalformedInputError(f"{what} must be strictly increasing in [0, {u})")
+
+
+def encode_trie(keys, w, sw, rw=0):
+    """The payload int that decode_trie(payload, len(keys), w, sw, rw) parses.
+
+    `keys` are strictly increasing w-bit keys.  A leaf is a 0 bit; an
+    internal node is a 1 bit, its skip in sw bits and, when rw > 0, its
+    subtree's first and last leaf rank in rw bits each, in preorder with
+    the first field in the lowest bits; trie_bits(len(keys), sw, rw) bits.
+    """
+    payload = pos = 0
+    node_bits = 1 + sw + 2 * rw
+    todo = [(0, len(keys), 0)]  # (lo, hi, depth) of subtrees, next on top
+    while todo:
+        lo, hi, depth = todo.pop()
+        if hi - lo == 1:
+            pos += 1
+            continue
+        d = w - (keys[lo] ^ keys[hi - 1]).bit_length()
+        node = 1 | (d - depth) << 1
+        if rw:
+            node |= (lo | (hi - 1) << rw) << (1 + sw)
+        payload |= node << pos
+        pos += node_bits
+        # Keys share all bits above d; the right subtree holds those with a 1.
+        shift = w - 1 - d
+        split = bisect_left(keys, keys[hi - 1] >> shift << shift, lo + 1, hi)
+        todo.append((split, hi, d + 1))
+        todo.append((lo, split, d + 1))
+    return payload
 
 
 def decode_trie(payload, nleaves, w, sw, rw=0):
@@ -60,42 +103,48 @@ def decode_trie(payload, nleaves, w, sw, rw=0):
     (branch, left, right, minleaf, maxleaf).  Raises CorruptIndexError
     unless every branch depth is < w, every stored leaf range is the one the
     shape implies, and there are exactly nleaves leaves, so that the trie is
-    exactly (2 * nleaves - 1) + (nleaves - 1) * (sw + 2 * rw) bits long.
+    exactly trie_bits(nleaves, sw, rw) bits long.  encode_trie is its inverse.
     """
-    branch, left, right, minleaf, maxleaf = [], [], [], [], []
+    branch, left, right, minleaf, ranges = [], [], [], [], []
     skip_mask = (1 << sw) - 1
     rank_mask = (1 << rw) - 1
     pos = leaves = 0
-
-    def rec(depth):
-        nonlocal pos, leaves
+    # (children list, node, depth) of each child still to parse, next on
+    # top; a loop, not a recursive closure, so that no cycle is left behind.
+    todo = [(None, 0, 0)]
+    while todo:
+        children, parent, depth = todo.pop()
         bit = (payload >> pos) & 1
         pos += 1
-        if not bit:
+        if bit:
+            child = len(branch)
+            d = depth + ((payload >> pos) & skip_mask)
+            if d >= w or child == nleaves - 1:
+                raise CorruptIndexError("trie node past the key width or the leaf count")
+            if rw:
+                ranges.append(((payload >> (pos + sw)) & rank_mask,
+                               (payload >> (pos + sw + rw)) & rank_mask))
+            pos += sw + 2 * rw
+            branch.append(d)
+            left.append(0)
+            right.append(0)
+            minleaf.append(leaves)
+            todo.append((right, child, d + 1))
+            todo.append((left, child, d + 1))
+        else:
+            child = ~leaves
             leaves += 1
-            return ~(leaves - 1)
-        node = len(branch)
-        d = depth + ((payload >> pos) & skip_mask)
-        if d >= w or node == nleaves - 1:
-            raise CorruptIndexError("trie node past the key width or the leaf count")
-        stored = ((payload >> (pos + sw)) & rank_mask,
-                  (payload >> (pos + sw + rw)) & rank_mask)
-        pos += sw + 2 * rw
-        branch.append(d)
-        left.append(0)
-        right.append(0)
-        minleaf.append(leaves)
-        maxleaf.append(0)
-        left[node] = rec(d + 1)
-        right[node] = rec(d + 1)
-        maxleaf[node] = leaves - 1
-        if rw and stored != (minleaf[node], maxleaf[node]):
-            raise CorruptIndexError("trie leaf range disagrees with its shape")
-        return node
-
-    rec(0)
+        if children is not None:
+            children[parent] = child
     if leaves != nleaves:
         raise CorruptIndexError("trie leaf count disagrees with bucket size")
+    # A subtree's last leaf is its right subtree's; children follow parents.
+    maxleaf = [0] * len(branch)
+    for node in reversed(range(len(branch))):
+        r = right[node]
+        maxleaf[node] = maxleaf[r] if r >= 0 else ~r
+    if rw and ranges != list(zip(minleaf, maxleaf)):
+        raise CorruptIndexError("trie leaf range disagrees with its shape")
     return branch, left, right, minleaf, maxleaf
 
 
@@ -103,35 +152,6 @@ class _Trie:
     """Flat compacted binary trie; children >= 0 are nodes, ~child is a leaf rank."""
 
     __slots__ = ("branch", "left", "right")
-
-    def __init__(self, keys, w):
-        branch, left, right = [], [], []
-
-        def rec(lo, hi, depth):
-            if hi - lo == 1:
-                return ~lo
-            xor = keys[lo] ^ keys[hi - 1]
-            d = w - xor.bit_length()
-            node = len(branch)
-            branch.append(d)
-            left.append(0)
-            right.append(0)
-            # First key whose bit at d is 1; keys share all bits above d.
-            a, b = lo + 1, hi
-            while a < b:
-                mid = (a + b) // 2
-                if (keys[mid] >> (w - 1 - d)) & 1:
-                    b = mid
-                else:
-                    a = mid + 1
-            left[node] = rec(lo, a, d + 1)
-            right[node] = rec(a, hi, d + 1)
-            return node
-
-        rec(0, len(keys), 0)
-        self.branch = branch
-        self.left = left
-        self.right = right
 
     def descend(self, x, w):
         node = 0
@@ -145,39 +165,47 @@ class _Trie:
 
 
 class MonotoneHash:
-    """Rank-of-member evaluator for a fixed sorted key set; zero probes."""
+    """Rank-of-member evaluator for a fixed sorted key set; zero probes.
 
-    __slots__ = ("m", "u", "_w", "_beta", "_samples", "_buckets")
+    Every hash keeps the payload int it was decoded from; hashes decoded from
+    equal payloads through one memo are one shared, never-changed object.
+    """
+
+    __slots__ = ("m", "u", "_w", "_beta", "_samples", "_buckets", "_payload",
+                 "_nbits")
 
     def __init__(self, keys, u):
         keys = list(keys)
+        self._decode(self.encode(keys, u), len(keys), u, {})
+
+    @staticmethod
+    def encode(keys, u, widths=None):
+        """The payload write() emits for the strictly increasing keys over [u].
+
+        Samples come first, w bits each, then each bucket in turn: nothing
+        for one key, the branch depth in sw bits and a 0 bit for two, and
+        encode_trie for more.  `widths` is widths(u), for a caller that
+        encodes many sets over one u.
+        """
         if u < 1:
             raise MalformedInputError(f"universe size must be positive, got {u}")
-        prev = -1
-        for k in keys:
-            if k <= prev:
-                raise MalformedInputError("keys must be strictly increasing")
-            prev = k
-        if keys and keys[-1] >= u:
-            raise MalformedInputError(f"key {keys[-1]} outside universe [0, {u})")
-        self.m = len(keys)
-        self.u = u
-        self._w = width(u)  # key width, also the sampling rate beta
-        self._beta = self._w
-        self._samples = [keys[r] for r in range(self._beta, self.m, self._beta)]
-        self._buckets = [
-            self._make_bucket(keys[lo:lo + self._beta])
-            for lo in range(0, self.m, self._beta)
-        ]
-
-    def _make_bucket(self, bkeys):
-        if len(bkeys) == 1:
-            return (_EMPTY, None)
-        if len(bkeys) == 2:
-            d = self._w - (bkeys[0] ^ bkeys[1]).bit_length()
-            v = (bkeys[0] >> (self._w - 1 - d)) & 1
-            return (_PAIR, (d, v))
-        return (_TRIE, _Trie(bkeys, self._w))
+        require_increasing_below(keys, u, "keys")
+        w, sw = widths or MonotoneHash.widths(u)
+        m = len(keys)
+        payload = pos = 0
+        for key in keys[w::w]:
+            payload |= key << pos
+            pos += w
+        for lo in range(0, m, w):
+            bkeys = keys[lo:lo + w]
+            size = len(bkeys)
+            if size == 2:
+                # The smaller key holds the 0 at the first differing bit.
+                payload |= (w - (bkeys[0] ^ bkeys[1]).bit_length()) << pos
+            elif size > 2:
+                payload |= encode_trie(bkeys, w, sw) << pos
+            pos += _bucket_bits(size, sw)
+        return payload
 
     # -- evaluation --------------------------------------------------------
 
@@ -199,87 +227,78 @@ class MonotoneHash:
     # -- size accounting ---------------------------------------------------
 
     @staticmethod
+    def widths(u):
+        """(w, sw): the key width, which is also beta, and the skip width."""
+        w = width(u)
+        return w, width(w)
+
+    @staticmethod
     def payload_bits(m, u):
         """Payload size of every hash of m keys over [u]; what write() emits.
 
         Samples take (ceil(m / beta) - 1) * w bits; a pair bucket takes sw + 1;
         a trie over s keys has s - 1 internal nodes, so (2s - 1) + (s - 1) * sw.
         """
-        w = width(u)
-        sw = width(w)
+        w, sw = MonotoneHash.widths(u)
         # Every bucket but the first is preceded by its w-bit separator.
         return max(0, sum(w + _bucket_bits(min(w, m - lo), sw)
                           for lo in range(0, m, w)) - w)
 
     def bits(self):
         """Exact payload size in bits; equals what write() emits."""
-        return self.payload_bits(self.m, self.u)
+        return self._nbits
 
     # -- serialization -----------------------------------------------------
 
     def write(self, bw):
-        """Emit the payload; m and u are carried by the container."""
-        w = self._w
-        sw = width(w)
-        for s in self._samples:
-            bw.write(s, w)
-        for kind, data in self._buckets:
-            if kind == _PAIR:
-                d, v = data
-                bw.write(d, sw)
-                bw.write(v, 1)
-            elif kind == _TRIE:
-                self._write_trie(bw, data, sw)
-
-    @staticmethod
-    def _write_trie(bw, trie, sw):
-        def rec(node, depth):
-            if node < 0:
-                bw.write(0, 1)
-                return
-            bw.write(1, 1)
-            bw.write(trie.branch[node] - depth, sw)
-            rec(trie.left[node], trie.branch[node] + 1)
-            rec(trie.right[node], trie.branch[node] + 1)
-
-        rec(0, 0)
+        """Emit the payload as one field; m and u are carried by the container."""
+        if self._nbits:
+            bw.write(self._payload, self._nbits)
 
     @classmethod
     def read(cls, br, m, u, memo=None):
         """Rebuild from a payload previously produced by write().
 
         The payload is read as one field of payload_bits(m, u) bits.  `memo`
-        belongs to one load of hashes over the same u.  It maps m to that
-        size, (m, payload) to the hash already decoded from it and
-        (_Trie, s, bits) to a bucket trie; a hit is returned again, since
-        neither is ever changed after construction.
+        belongs to one load of hashes over the same u; see shared().
         """
         if memo is None:
             memo = {}
         size = memo.get(m)
         if size is None:
             size = memo[m] = cls.payload_bits(m, u)
-        key = (m, br.read(size) if size else 0)
-        h = memo.get(key)
-        if h is None:
-            h = memo[key] = cls._decode(key[1], m, u, memo)
-        return h
+        payload = br.read(size) if size else 0
+        return memo.get((m, payload)) or cls.shared(payload, m, u, memo)
 
     @classmethod
-    def _decode(cls, payload, m, u, memo):
-        """Parse the int `payload`; raise CorruptIndexError on any field that
-        write() cannot produce."""
-        h = object.__new__(cls)
-        h.m = m
-        h.u = u
-        h._w = h._beta = w = width(u)
-        sw = width(w)
+    def shared(cls, payload, m, u, memo):
+        """The hash of m keys over [u] decoded from the int `payload`.
+
+        `memo` belongs to one build or load of hashes over the same u.  It
+        maps m to the payload size, (m, payload) to the hash already decoded
+        from it and (_Trie, s, bits) to a bucket trie; a hit is returned
+        again, since neither is ever changed after construction.
+        """
+        key = (m, payload)
+        h = memo.get(key)
+        if h is None:
+            h = memo[key] = object.__new__(cls)._decode(payload, m, u, memo)
+        return h
+
+    def _decode(self, payload, m, u, memo):
+        """Fill self from the int `payload`; raise CorruptIndexError on any
+        field that encode() cannot produce."""
+        self.m = m
+        self.u = u
+        w, sw = self.widths(u)
+        self._w = self._beta = w
+        self._payload = payload
         nsamples = max(0, (m + w - 1) // w - 1)
-        h._samples = samples = split_fields(payload, nsamples, w)
+        self._samples = samples = split_fields(payload, nsamples, w)
         if not increasing_below(samples, u):
             raise CorruptIndexError("hash samples are not increasing keys below u")
         pos = nsamples * w
-        h._buckets = buckets = []
+        self._buckets = buckets = []
         for lo in range(0, m, w):
             size = min(w, m - lo)
             nbits = _bucket_bits(size, sw)
@@ -288,7 +307,7 @@ class MonotoneHash:
             if size == 1:
                 buckets.append((_EMPTY, None))
             elif size == 2:
-                # The smaller key holds the 0 at the first differing bit.
+                # encode() writes the smaller key's bit, which is always 0.
                 d = field & ((1 << sw) - 1)
                 if d >= w or field >> sw:
                     raise CorruptIndexError("pair bucket the encoder cannot produce")
@@ -302,7 +321,8 @@ class MonotoneHash:
                         field, size, w, sw
                     )
                 buckets.append((_TRIE, trie))
-        return h
+        self._nbits = pos
+        return self
 
     def to_bytes(self):
         bw = BitWriter()

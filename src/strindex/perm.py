@@ -11,8 +11,13 @@ gap structure bounds the forward evaluations by 2 * spacing + 1.
 
 from __future__ import annotations
 
-from .bits import BitBuilder, split_fields, width
-from .errors import MalformedInputError, OutOfRangeError, ProbeBudgetError
+from .bits import RsBitvector, split_fields, width
+from .errors import (
+    CorruptIndexError,
+    MalformedInputError,
+    OutOfRangeError,
+    ProbeBudgetError,
+)
 
 
 def eval_budget(spacing):
@@ -29,12 +34,9 @@ class ShortcutTable:
         """Build from an evaluator pi over [length]; build-time calls are free."""
         if spacing < 1:
             raise MalformedInputError(f"spacing must be >= 1, got {spacing}")
-        image = [pi(x) for x in range(length)]
-        seen = bytearray(length)
-        for v in image:
-            if not 0 <= v < length or seen[v]:
-                raise MalformedInputError("evaluator is not a bijection on [L]")
-            seen[v] = 1
+        image = list(map(pi, range(length)))
+        if sorted(image) != list(range(length)):
+            raise MalformedInputError("evaluator is not a bijection on [L]")
         self.length = length
         self.spacing = spacing
         self._tgt_width = width(length)
@@ -59,10 +61,7 @@ class ShortcutTable:
             for step in range(0, c, spacing):
                 elem = cycle[(lead + step) % c]
                 back[elem] = cycle[(lead + step - spacing) % c]
-        builder = BitBuilder()
-        for x in range(length):
-            builder.append(1 if x in back else 0)
-        self.marked = builder.build()
+        self.marked = RsBitvector.from_int(sum(1 << x for x in back), length)
         self.targets = [back[x] for x in sorted(back)]
 
     def invert(self, q, pi):
@@ -112,4 +111,6 @@ class ShortcutTable:
         tab.marked = br.read_bv(length)
         ones = tab.marked.ones
         tab.targets = split_fields(br.read(ones * tw), ones, tw)
+        if ones and max(tab.targets) >= length:
+            raise CorruptIndexError(f"shortcut target outside [0, {length})")
         return tab

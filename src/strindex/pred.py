@@ -26,7 +26,13 @@ from bisect import bisect_left
 
 from .bits import split_fields, width
 from .errors import CorruptIndexError, MalformedInputError, ProbeBudgetError
-from .mmphf import decode_trie, increasing_below
+from .mmphf import (
+    decode_trie,
+    encode_trie,
+    increasing_below,
+    require_increasing_below,
+    trie_bits,
+)
 
 #: Largest member count answered by storing nothing at all: a binary search
 #: over m + 1 outcomes costs ceil(log2(m + 1)) <= 3 accessor calls.
@@ -54,7 +60,7 @@ def _bucket_bits(size, k, w, sw, rw):
     nsamp = (size + k - 1) // k
     if nsamp <= 2:
         return (nsamp - 1) * w  # sample 0 is already in top
-    return (2 * nsamp - 1) + (nsamp - 1) * (sw + 2 * rw)
+    return trie_bits(nsamp, sw, rw)
 
 
 class BlindTrie:
@@ -70,38 +76,17 @@ class BlindTrie:
         keys = list(keys)
         if len(keys) < 1:
             raise MalformedInputError("blind trie needs at least one key")
-        self.nleaves = len(keys)
+        sw, rw = width(w), width(len(keys))
+        self._decode(encode_trie(keys, w, sw, rw), len(keys), w, sw, rw)
+
+    def _decode(self, payload, nleaves, w, sw, rw):
+        """Fill self from an encode_trie payload; see mmphf.decode_trie."""
+        self.nleaves = nleaves
         self.w = w
-        branch, left, right, minleaf, maxleaf = [], [], [], [], []
-
-        def rec(lo, hi, depth):
-            if hi - lo == 1:
-                return ~lo
-            xor = keys[lo] ^ keys[hi - 1]
-            d = w - xor.bit_length()
-            node = len(branch)
-            branch.append(d)
-            left.append(0)
-            right.append(0)
-            minleaf.append(lo)
-            maxleaf.append(hi - 1)
-            a, b = lo + 1, hi
-            while a < b:
-                mid = (a + b) // 2
-                if (keys[mid] >> (w - 1 - d)) & 1:
-                    b = mid
-                else:
-                    a = mid + 1
-            left[node] = rec(lo, a, d + 1)
-            right[node] = rec(a, hi, d + 1)
-            return node
-
-        self.root = rec(0, len(keys), 0)
-        self.branch = branch
-        self.left = left
-        self.right = right
-        self.minleaf = minleaf
-        self.maxleaf = maxleaf
+        (self.branch, self.left, self.right, self.minleaf,
+         self.maxleaf) = decode_trie(payload, nleaves, w, sw, rw)
+        self.root = 0 if self.branch else ~0
+        return self
 
     def predecessor(self, p, fetch):
         """Leaf rank of the largest key < p, or None; exactly one fetch.
@@ -139,55 +124,53 @@ class BlindTrie:
             return hi_leaf  # whole subtree sits below p
         return lo_leaf - 1 if lo_leaf else None  # whole subtree sits above p
 
-    def write(self, bw, skip_width, rank_width):
-        def rec(node, depth):
-            if node < 0:
-                bw.write(0, 1)
-                return
-            bw.write(1, 1)
-            bw.write(self.branch[node] - depth, skip_width)
-            bw.write(self.minleaf[node], rank_width)
-            bw.write(self.maxleaf[node], rank_width)
-            rec(self.left[node], self.branch[node] + 1)
-            rec(self.right[node], self.branch[node] + 1)
-
-        rec(self.root, 0)
 
 class PredIndex:
-    """R(p) over a sorted member set, fetching members through S(rank)."""
+    """R(p) over a sorted member set, fetching members through S(rank).
 
-    __slots__ = ("m", "sigma", "k", "g", "_w", "_top", "_buckets", "_budget")
+    Every index keeps the payload int it was decoded from; indexes decoded
+    from equal payloads through one memo are one shared, never-changed object.
+    """
+
+    __slots__ = ("m", "sigma", "k", "g", "_w", "_top", "_buckets", "_budget",
+                 "_payload", "_nbits")
 
     def __init__(self, members, sigma, k):
         members = list(members)
+        self._decode(self.encode(members, sigma, k), len(members), sigma, k, {})
+
+    @staticmethod
+    def encode(members, sigma, k, widths=None):
+        """The payload write() emits for strictly increasing members of [sigma].
+
+        Nothing up to DIRECT_LIMIT members.  Otherwise every g-th member
+        (the top keys) in w = g bits each, then each bucket in turn: its
+        samples past the first in w bits each, or, past two samples, their
+        encode_trie.  `widths` is widths(sigma, k), for a caller that encodes
+        many sets over one sigma and k.
+        """
         g = width(sigma)
         if not 1 <= k <= g:
             raise MalformedInputError(f"k={k} outside [1, {g}]")
-        prev = -1
-        for x in members:
-            if x <= prev:
-                raise MalformedInputError("members must be strictly increasing")
-            prev = x
-        if members and members[-1] >= sigma:
-            raise MalformedInputError(f"member {members[-1]} >= sigma {sigma}")
-        self.m = len(members)
-        self.sigma = sigma
-        self.k = k
-        self.g = g
-        self._w = g
-        self._budget = budget(k)
-        if self.m <= DIRECT_LIMIT:
-            self._top = None
-            self._buckets = None
-            return
-        self._top = members[::g]
-        self._buckets = []
-        for base in range(0, self.m, g):
-            sampled = members[base:min(base + g, self.m):k]
+        require_increasing_below(members, sigma, "members")
+        m = len(members)
+        if m <= DIRECT_LIMIT:
+            return 0
+        w, sw, rw = widths or PredIndex.widths(sigma, k)
+        payload = pos = 0
+        for key in members[::w]:
+            payload |= key << pos
+            pos += w
+        for base in range(0, m, w):
+            sampled = members[base:min(base + w, m):k]
             if len(sampled) <= 2:
-                self._buckets.append((_EXPLICIT, sampled))
+                for key in sampled[1:]:
+                    payload |= key << pos
+                    pos += w
             else:
-                self._buckets.append((_TRIE, BlindTrie(sampled, self._w)))
+                payload |= encode_trie(sampled, w, sw, rw) << pos
+                pos += trie_bits(len(sampled), sw, rw)
+        return payload
 
     def rank(self, p, fetch):
         """Count of members < p; 0 <= p <= sigma.  Enforces the call budget."""
@@ -243,6 +226,12 @@ class PredIndex:
     # -- size accounting and serialization ----------------------------------
 
     @staticmethod
+    def widths(sigma, k):
+        """(w, sw, rw): key and top-sampling width, trie skip and leaf-rank widths."""
+        w = width(sigma)
+        return w, width(w), _rank_width(w, k)
+
+    @staticmethod
     def payload_bits(m, sigma, k):
         """Payload size of every set of m members over [sigma] at rate k.
 
@@ -252,69 +241,68 @@ class PredIndex:
         """
         if m <= DIRECT_LIMIT:
             return EMPTY_PRED_BITS
-        w = width(sigma)
-        sw, rw = width(w), _rank_width(w, k)
+        w, sw, rw = PredIndex.widths(sigma, k)
         return sum(w + _bucket_bits(min(w, m - base), k, w, sw, rw)
                    for base in range(0, m, w))
 
     def bits(self):
         """Exact payload size in bits; EMPTY_PRED_BITS when nothing is stored."""
-        return self.payload_bits(self.m, self.sigma, self.k)
+        return self._nbits
 
     def write(self, bw):
-        if self._top is None:
-            return
-        w = self._w
-        sw = width(w)
-        rw = _rank_width(self.g, self.k)
-        for key in self._top:
-            bw.write(key, w)
-        for kind, data in self._buckets:
-            if kind == _EXPLICIT:
-                for key in data[1:]:
-                    bw.write(key, w)
-            else:
-                data.write(bw, sw, rw)
+        """Emit the payload as one field; the container carries m, sigma and k."""
+        if self._nbits:
+            bw.write(self._payload, self._nbits)
 
     @classmethod
     def read(cls, br, m, sigma, k, memo=None):
         """Rebuild from a payload previously produced by write().
 
         The payload is read as one field of payload_bits(m, sigma, k) bits.
-        `memo` belongs to one load of sets over the same sigma and k.  It
-        maps m to that size, (m, payload) to the index already decoded from
-        it and (BlindTrie, L, bits) to a bucket trie; a hit is returned
-        again, since neither is ever changed after construction.
+        `memo` belongs to one load of sets over the same sigma and k; see
+        shared().
         """
         if memo is None:
             memo = {}
         size = memo.get(m)
         if size is None:
             size = memo[m] = cls.payload_bits(m, sigma, k)
-        key = (m, br.read(size) if size else 0)
-        ix = memo.get(key)
-        if ix is None:
-            ix = memo[key] = cls._decode(key[1], m, sigma, k, memo)
-        return ix
+        payload = br.read(size) if size else 0
+        return memo.get((m, payload)) or cls.shared(payload, m, sigma, k, memo)
 
     @classmethod
-    def _decode(cls, payload, m, sigma, k, memo):
-        """Parse the int `payload`; raise CorruptIndexError on any field that
-        write() cannot produce."""
-        ix = object.__new__(cls)
-        ix.m = m
-        ix.sigma = sigma
-        ix.k = k
-        ix.g = ix._w = w = width(sigma)
-        ix._budget = budget(k)
-        ix._top = ix._buckets = None
+    def shared(cls, payload, m, sigma, k, memo):
+        """The index of m members over [sigma] decoded from the int `payload`.
+
+        `memo` belongs to one build or load of sets over the same sigma and
+        k.  It maps m to the payload size, (m, payload) to the index already
+        decoded from it and (BlindTrie, L, bits) to a bucket trie; a hit is
+        returned again, since neither is ever changed after construction.
+        """
+        key = (m, payload)
+        ix = memo.get(key)
+        if ix is None:
+            ix = memo[key] = object.__new__(cls)._decode(payload, m, sigma, k, memo)
+        return ix
+
+    def _decode(self, payload, m, sigma, k, memo):
+        """Fill self from the int `payload`; raise CorruptIndexError on any
+        field that encode() cannot produce."""
+        self.m = m
+        self.sigma = sigma
+        self.k = k
+        self.g = self._w = w = width(sigma)
+        self._budget = budget(k)
+        self._top = self._buckets = None
+        self._payload = payload
+        self._nbits = EMPTY_PRED_BITS
         if m <= DIRECT_LIMIT:
-            return ix
-        sw, rw = width(w), _rank_width(w, k)
+            return self
+        _, sw, rw = self.widths(sigma, k)
         ntop = (m + w - 1) // w
-        ix._top = top = split_fields(payload, ntop, w)
+        self._top = top = split_fields(payload, ntop, w)
         pos = ntop * w
-        ix._buckets = buckets = []
+        self._buckets = buckets = []
         stored = []  # every stored member, in order
         for j, base in enumerate(range(0, m, w)):
             size = min(w, m - base)
@@ -330,12 +318,12 @@ class PredIndex:
                 key = (BlindTrie, nsamp, field)
                 trie = memo.get(key)
                 if trie is None:
-                    trie = memo[key] = object.__new__(BlindTrie)
-                    trie.nleaves, trie.w, trie.root = nsamp, w, 0
-                    (trie.branch, trie.left, trie.right, trie.minleaf,
-                     trie.maxleaf) = decode_trie(field, nsamp, w, sw, rw)
+                    trie = memo[key] = object.__new__(BlindTrie)._decode(
+                        field, nsamp, w, sw, rw
+                    )
                 buckets.append((_TRIE, trie))
                 stored.append(top[j])
         if not increasing_below(stored, sigma):
             raise CorruptIndexError("predecessor samples are not increasing below sigma")
-        return ix
+        self._nbits = pos
+        return self

@@ -3,7 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strindex import NotFoundError, OutOfRangeError, RsBitvector
-from strindex.bits import BitReader, BitWriter, CorruptIndexError, unary_counts, width
+from strindex.bits import (
+    BitReader,
+    BitWriter,
+    CorruptIndexError,
+    unary_bitvector,
+    unary_counts,
+    width,
+)
 
 
 def bv(pattern):
@@ -147,6 +154,17 @@ def test_write_bv_read_bv_round_trip():
 def test_unary_counts_inverts_unary_encoding(counts):
     v = bv("".join("1" * m + "0" for m in counts))
     assert unary_counts(v, len(counts)) == counts
+    assert unary_bitvector(counts) == v
+    assert unary_bitvector(counts).ones == sum(counts)
+
+
+@given(st.integers(0, 300), st.data())
+@settings(max_examples=100, deadline=None)
+def test_from_int_takes_bit_i_of_the_value(nbits, data):
+    value = data.draw(st.integers(0, (1 << nbits) - 1))
+    v = RsBitvector.from_int(value, nbits)
+    assert v == bv(format(value, "b").zfill(nbits)[::-1] if nbits else "")
+    assert v.ones == value.bit_count()
 
 
 @pytest.mark.parametrize("pattern, nzeros", [

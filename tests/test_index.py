@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from bisect import bisect_right
@@ -23,7 +24,16 @@ from strindex import (
 )
 from strindex.audit import make_workload
 from strindex.bits import BitReader
-from strindex.index import _HEADER, _TABLE_ENTRY, _TAG_CROSS, _TAG_MMPHF, _TAG_PRED, _TAG_Z
+from strindex.bits import width
+from strindex.index import (
+    _HEADER,
+    _TABLE_ENTRY,
+    _TAG_CROSS,
+    _TAG_MMPHF,
+    _TAG_PRED,
+    _TAG_SHORT,
+    _TAG_Z,
+)
 from conftest import brute_rank, brute_select, make_random_text, positions_of
 
 
@@ -372,6 +382,56 @@ def test_load_reads_each_set_once_and_shares_equal_ones(monkeypatch):
     assert len(hashes) < pairs / 4
     assert len(preds) < pairs / 100
     assert back.to_bytes() == blob
+
+
+def test_build_shares_equal_sets_as_load_does():
+    text = make_random_text(4096, 1024, seed=3)
+    ix = build(text, t=4, k=1)
+    pairs = sum(len(blk.chars) for blk in ix.blocks)
+    hashes = {id(h) for blk in ix.blocks for h in blk.hashes.values()}
+    preds = {id(p) for blk in ix.blocks for p in blk.preds.values()}
+    assert len(hashes) < pairs / 4
+    assert len(preds) < pairs / 100
+    blob = ix.to_bytes()
+    assert StringIndex.from_bytes(blob).to_bytes() == blob
+    occ = positions_of(text)
+    for kind, c, arg in make_workload(text, 300, seed=2):
+        want = brute_select(occ, c, arg) if kind == "select" else brute_rank(occ, c, arg)
+        assert getattr(ix, kind)(text, ProbeSession(), c, arg) == want
+
+
+@pytest.mark.parametrize("target", [6, 7])
+def test_shortcut_target_past_the_block_is_corrupt(target):
+    # sigma=6: a block's targets take width(6) = 3 bits, which also hold 6 and 7.
+    text = make_random_text(60, 6, seed=3)
+    ix = build(text, t=2)
+    marked = ix.blocks[0].shortcuts.marked
+    assert marked.ones >= 1
+    blob = bytearray(ix.to_bytes())
+    # Block 0's marked bits come first in the section, then its targets.
+    off = 8 * _section(blob, _TAG_SHORT)[0] + marked.nbits
+    tw = width(ix.blocks[0].length)
+    for i in range(tw):
+        byte, bit = divmod(off + i, 8)
+        blob[byte] = blob[byte] & ~(1 << bit) | ((target >> i) & 1) << bit
+    with pytest.raises(CorruptIndexError, match="shortcut target"):
+        StringIndex.from_bytes(bytes(blob))
+
+
+def test_build_and_load_leave_no_cyclic_garbage():
+    # sigma=32, k=2: buckets of 5 keys, so both kinds of bucket trie are decoded.
+    text = _zipf_text(3000, 32, seed=14)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        blob = build(text, t=2, k=2).to_bytes()
+        StringIndex.from_bytes(blob)
+        # Cycles would wait for the collector, which walks every live object.
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_loaded_index_answers_as_built_with_equal_probes():

@@ -4,9 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strindex import MalformedInputError, MonotoneHash
+from strindex import CorruptIndexError, MalformedInputError, MonotoneHash
 from strindex.bits import BitReader, BitWriter, width
-from strindex.mmphf import SIZE_C, SIZE_CPRIME, STANDALONE_HEADER_BITS
+from strindex.mmphf import (
+    SIZE_C,
+    SIZE_CPRIME,
+    STANDALONE_HEADER_BITS,
+    decode_trie,
+    encode_trie,
+    trie_bits,
+)
 
 
 def test_two_keys():
@@ -142,3 +149,86 @@ def test_read_shares_equal_payloads_through_memo():
     a, b, c, d = (MonotoneHash.read(br, m, 16, memo) for m in (2, 2, 2, 1))
     assert a is c and a is not b
     assert d is MonotoneHash.read(BitReader(b""), 1, 16, memo)
+
+
+def _reference_shape(keys, w):
+    """(branch, left, right, minleaf, maxleaf) of the compacted trie, built
+    top-down by splitting each key range at its first key with a 1 at the
+    depth where the range's first and last keys differ."""
+    branch, left, right, minleaf, maxleaf = [], [], [], [], []
+
+    def rec(lo, hi):
+        if hi - lo == 1:
+            return ~lo
+        d = w - (keys[lo] ^ keys[hi - 1]).bit_length()
+        node = len(branch)
+        branch.append(d)
+        minleaf.append(lo)
+        maxleaf.append(hi - 1)
+        left.append(0)
+        right.append(0)
+        split = next(i for i in range(lo, hi) if (keys[i] >> (w - 1 - d)) & 1)
+        left[node] = rec(lo, split)
+        right[node] = rec(split, hi)
+        return node
+
+    rec(0, len(keys))
+    return branch, left, right, minleaf, maxleaf
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_decode_trie_inverts_encode_trie(data):
+    w = data.draw(st.integers(min_value=1, max_value=16))
+    keys = sorted(data.draw(st.sets(st.integers(0, (1 << w) - 1), min_size=1,
+                                    max_size=40)))
+    s = len(keys)
+    sw = width(w)
+    rw = data.draw(st.sampled_from([0, width(s), width(s) + 2]))
+    payload = encode_trie(keys, w, sw, rw)
+    size = trie_bits(s, sw, rw)
+    shape = _reference_shape(keys, w)
+    assert payload < 1 << size
+    # Bits past the documented size are never read ...
+    junk = data.draw(st.integers(0, 255))
+    assert decode_trie(payload | junk << size, s, w, sw, rw) == shape
+    # ... and the last of them is the last leaf's 0 bit.
+    with pytest.raises(CorruptIndexError):
+        decode_trie(payload | 1 << (size - 1), s, w, sw, rw)
+
+
+# Payloads that write() emitted before hashes were encoded straight to their
+# payload int: (keys, u, payload_bits, payload in hex).
+_SPREAD = sorted({(i * 2654435761) % 4096 for i in range(100)})
+_RECORDED = [
+    ([3, 9], 16, 3, "0"),
+    ([3, 9, 17, 40, 41], 64, 21, "48111"),
+    (list(range(0, 1000, 37)), 1024, 173, "410204210c1810211808430808c0420408423b9172"),
+    (list(range(5, 1024, 85)), 1024, 70, "40108404202108757"),
+    (_SPREAD, 4096, 651,
+     "10690302102084204194a0230204108c08338c046021030842045280840420610940921020"
+     "460c102108114a0408c18204108c48c0c08420c0821087280810840420418427f5cd88b859"
+     "b17ae5ab3d71d4"),
+]
+
+
+@pytest.mark.parametrize("keys, u, nbits, payload", _RECORDED,
+                         ids=["pair", "trie", "samples", "pair-last", "spread"])
+def test_encode_is_the_recorded_payload(keys, u, nbits, payload):
+    payload = int(payload, 16)
+    assert MonotoneHash.encode(keys, u) == payload
+    assert MonotoneHash.payload_bits(len(keys), u) == nbits
+    bw = BitWriter()
+    MonotoneHash(keys, u).write(bw)
+    assert bw.bit_length == nbits
+    assert bw.getvalue() == payload.to_bytes((nbits + 7) // 8, "little")
+
+
+@pytest.mark.parametrize("keys, u", [
+    ([2, 1], 4), ([1, 1], 4), ([1, 9], 8), ([-1, 2], 4), ([0], 0),
+])
+def test_encode_rejects_what_the_constructor_rejects(keys, u):
+    with pytest.raises(MalformedInputError):
+        MonotoneHash.encode(keys, u)
+    with pytest.raises(MalformedInputError):
+        MonotoneHash(keys, u)

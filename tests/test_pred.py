@@ -212,3 +212,47 @@ def test_payload_size_depends_only_on_m_sigma_and_k(data):
     bw2 = BitWriter()
     g.write(bw2)
     assert bw2.getvalue() == bw.getvalue()
+
+
+# Payloads that write() emitted before predecessor sets were encoded straight
+# to their payload int: (members, sigma, k, payload_bits, payload in hex).
+_SPREAD = sorted({(i * 2654435761) % 4096 for i in range(100)})
+_RECORDED = [
+    (list(range(0, 32, 3)), 32, 2, 53, "48a0420c1f9e0"),
+    (list(range(1, 32, 2)), 32, 1, 155, "6862108380c8d444481c021a108160603fd561"),
+    (_SPREAD, 4096, 1, 1391,
+     "6410406609152321c34e11942640d206d0219041019816c0a2a4372321c23284c81840da0c"
+     "3208203303d80c5486e461d830c10863530c186cc21084405b028a90dc843b0618210c6a61"
+     "830d99421088136012e824c06e063b0cea110c2e61b3084211016c0a5d04980dc0c7619d42"
+     "2184841720d90c104d80c548c870d386dc2328c4309082c41b208207b028a9090e1a70db84"
+     "2a0590219041019805803607f5cd88b859b17ae5ab3d71d4000"),
+    (_SPREAD, 4096, 3, 416,
+     "fd11a18415828d0c20ec0c22164260a110b253010885909828442c8cc0c22164260a040500"
+     "b07f5cd88b859b17ae5ab3d71d4000"),
+    (_SPREAD, 4096, 12, 108, "f5cd88b859b17ae5ab3d71d4000"),
+    (list(range(DIRECT_LIMIT)), 1024, 1, 0, "0"),
+]
+
+
+@pytest.mark.parametrize("members, sigma, k, nbits, payload", _RECORDED,
+                         ids=["trie", "tries", "spread-k1", "spread-k3",
+                              "spread-top-only", "direct"])
+def test_encode_is_the_recorded_payload(members, sigma, k, nbits, payload):
+    payload = int(payload, 16)
+    assert PredIndex.encode(members, sigma, k) == payload
+    assert PredIndex.payload_bits(len(members), sigma, k) == nbits
+    bw = BitWriter()
+    PredIndex(members, sigma, k).write(bw)
+    assert bw.bit_length == nbits
+    assert bw.getvalue() == payload.to_bytes((nbits + 7) // 8, "little")
+
+
+@pytest.mark.parametrize("members, sigma, k", [
+    ([3, 1], 8, 1), ([1, 1], 8, 1), ([9], 8, 1), ([-1, 2], 8, 1), ([1], 8, 99),
+    ([1], 8, 0), (list(range(20, 0, -1)), 64, 1),
+])
+def test_encode_rejects_what_the_constructor_rejects(members, sigma, k):
+    with pytest.raises(MalformedInputError):
+        PredIndex.encode(members, sigma, k)
+    with pytest.raises(MalformedInputError):
+        PredIndex(members, sigma, k)
