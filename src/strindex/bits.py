@@ -8,6 +8,7 @@ four 64-bit words past a directory entry.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 
 from .errors import CorruptIndexError, NotFoundError, OutOfRangeError
 
@@ -146,7 +147,7 @@ class RsBitvector:
         """Zero-based position of the j-th (1-based) 1-bit."""
         if j < 1 or j > self._ones:
             raise NotFoundError(f"no {j}-th one; vector has {self._ones}")
-        blk = self._superblock_for(j, ones=True)
+        blk = bisect_left(self._ranks, j)
         acc = self._ranks[blk - 1] if blk else 0
         wi = blk * _WORDS_PER_SUPER
         words = self._words
@@ -161,8 +162,15 @@ class RsBitvector:
         """Zero-based position of the j-th (1-based) 0-bit."""
         if j < 1 or j > self.zeros:
             raise NotFoundError(f"no {j}-th zero; vector has {self.zeros}")
-        blk = self._superblock_for(j, ones=False)
-        acc = (blk * SUPER - self._ranks[blk - 1]) if blk else 0
+        ranks = self._ranks
+        blk, hi = 0, len(ranks)
+        while blk < hi:  # first superblock whose end holds j zeros or more
+            mid = (blk + hi) // 2
+            if (mid + 1) * SUPER - ranks[mid] < j:
+                blk = mid + 1
+            else:
+                hi = mid
+        acc = (blk * SUPER - ranks[blk - 1]) if blk else 0
         wi = blk * _WORDS_PER_SUPER
         words = self._words
         while True:
@@ -176,19 +184,6 @@ class RsBitvector:
                 return base + _select_in_word(w, j - acc)
             acc += cnt
             wi += 1
-
-    def _superblock_for(self, j, ones):
-        """Largest superblock whose cumulative count is < j (binary search)."""
-        ranks = self._ranks
-        lo, hi = 0, len(ranks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            cum = ranks[mid] if ones else (mid + 1) * SUPER - ranks[mid]
-            if cum < j:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
 
     # -- accounting and serialization -------------------------------------
 
@@ -258,22 +253,26 @@ def unary_counts(bv, nzeros):
     return list(map(len, runs))
 
 
+#: _SELECT_IN_BYTE[8 * byte + r - 1]: position of the r-th set bit of byte.
+_SELECT_IN_BYTE = bytes(
+    ([i for i in range(8) if byte >> i & 1] + [0] * 8)[r] for byte in range(256)
+    for r in range(8)
+)
+
+
 def _select_in_word(word, r):
     """Position of the r-th (1-based) set bit inside a 64-bit word."""
-    for byte in range(8):
-        chunk = (word >> (byte * 8)) & 0xFF
-        cnt = chunk.bit_count()
-        if cnt >= r:
-            pos = byte * 8
-            while True:
-                if chunk & 1:
-                    r -= 1
-                    if r == 0:
-                        return pos
-                chunk >>= 1
-                pos += 1
-        r -= cnt
-    raise AssertionError("select ran past word")  # caller guarantees presence
+    pos = 0
+    for half in (32, 16, 8):
+        low = word & ((1 << half) - 1)
+        cnt = low.bit_count()
+        if cnt < r:
+            r -= cnt
+            word >>= half
+            pos += half
+        else:
+            word = low
+    return pos + _SELECT_IN_BYTE[8 * word + r - 1]
 
 
 class BitWriter:

@@ -81,7 +81,7 @@ def build_parser():
     p = sub.add_parser("verify", help="cross-check an index against the oracle")
     p.add_argument("--index", required=True)
     _add_text_args(p)
-    p.add_argument("--queries", type=int, default=1000)
+    p.add_argument("--queries", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
@@ -89,7 +89,7 @@ def build_parser():
     _add_text_args(p)
     p.add_argument("--t-list", type=_int_list, required=True)
     p.add_argument("--k-list", type=_int_list, default=[1])
-    p.add_argument("--queries", type=int, default=1000)
+    p.add_argument("--queries", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV path; JSON mirror written beside it")
     p.set_defaults(func=cmd_bench)

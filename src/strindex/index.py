@@ -217,12 +217,13 @@ class StringIndex:
         if j > vc.ones:
             return -1
         pos = vc.select1(j)
-        b = vc.rank0(pos)
+        b = pos - j + 1  # zeros before the j-th one
         jp = j - (vc.select0(b) - b + 1) if b else j
         blk = self.blocks[b]
-        q = blk.base[c] + jp - 1
-        local = blk.shortcuts.invert(q, self._evaluator(blk, text, session))
-        answer = blk.start + local
+        base = blk.base
+        answer = blk.start + blk.shortcuts.walk(
+            base[c] + jp - 1, text, session, blk.start, base, blk.hashes
+        )
         if session.count - before > self._sel_budget:
             raise ProbeBudgetError(
                 f"select used {session.count - before} probes; "
@@ -254,7 +255,13 @@ class StringIndex:
             if p_local >= blk.length:
                 in_block = pred.m
             else:
-                fetch = self._in_block_select(blk, c, text, session)
+                first = blk.base[c]
+
+                def fetch(r):
+                    """Block-local position of the (r+1)-th occurrence of c."""
+                    return blk.shortcuts.walk(first + r, text, session, blk.start,
+                                              blk.base, blk.hashes)
+
                 in_block = pred.rank(p_local, fetch)
         answer = cross_before + in_block
         if session.count - before > self._rnk_budget:
@@ -263,29 +270,6 @@ class StringIndex:
                 f"budget is {self._rnk_budget}"
             )
         return answer
-
-    def _evaluator(self, blk, text, session):
-        """Forward permutation evaluation: one probe, then probe-free lookups."""
-        start = blk.start
-        hashes = blk.hashes
-        base = blk.base
-
-        def pi(x):
-            c = text.access(session, start + x)
-            return base[c] + hashes[c].eval(x)
-
-        return pi
-
-    def _in_block_select(self, blk, c, text, session):
-        """S(r): block-local position of the (r+1)-th occurrence of c."""
-        base = blk.base[c]
-        shortcuts = blk.shortcuts
-        pi = self._evaluator(blk, text, session)
-
-        def fetch(r):
-            return shortcuts.invert(base + r, pi)
-
-        return fetch
 
     # -- space accounting -------------------------------------------------------
 

@@ -15,7 +15,12 @@ tell its members apart:
                    member's offset is the leaf reached by descending on its
                    own bits (no key material is needed for members).
 
-Evaluation is a binary search over separators plus one short descent.
+In memory every bucket is one flat trie: a (shift, left, right) triple of
+per-node tuples, where node i tests bit shift[i] of x and a child < 0 is the
+leaf ~rank.  A one-key bucket is the shared empty triple and a two-key bucket
+a one-node trie; equal triples decoded through one memo are one object.
+Evaluation is a binary search over separators, when there are any, plus one
+short descent.
 """
 
 from __future__ import annotations
@@ -35,9 +40,8 @@ SIZE_CPRIME = 4
 
 STANDALONE_HEADER_BITS = 128  # u64 m + u64 u
 
-_EMPTY = 0
-_PAIR = 1
-_TRIE = 2
+#: The bucket of one key: a trie with no nodes, whose only leaf is rank 0.
+_LEAF = ((), (), ())
 
 
 def trie_bits(nleaves, sw, rw=0):
@@ -97,9 +101,9 @@ def encode_trie(keys, w, sw, rw=0):
 def decode_trie(payload, nleaves, w, sw, rw=0):
     """Parse a preorder shape-and-skip trie from the bits of the int `payload`.
 
-    This is the layout of _Trie and, with rw > 0, of pred.BlindTrie: a leaf
-    is a 0 bit; an internal node is a 1 bit, its skip in sw bits and, when
-    rw > 0, its subtree's first and last leaf rank in rw bits each.  Returns
+    This is the layout of a hash bucket and, with rw > 0, of pred.BlindTrie:
+    a leaf is a 0 bit; an internal node is a 1 bit, its skip in sw bits and,
+    when rw > 0, its subtree's first and last leaf rank in rw bits each.  Returns
     (branch, left, right, minleaf, maxleaf).  Raises CorruptIndexError
     unless every branch depth is < w, every stored leaf range is the one the
     shape implies, and there are exactly nleaves leaves, so that the trie is
@@ -148,20 +152,16 @@ def decode_trie(payload, nleaves, w, sw, rw=0):
     return branch, left, right, minleaf, maxleaf
 
 
-class _Trie:
-    """Flat compacted binary trie; children >= 0 are nodes, ~child is a leaf rank."""
-
-    __slots__ = ("branch", "left", "right")
-
-    def descend(self, x, w):
-        node = 0
-        branch, left, right = self.branch, self.left, self.right
-        while node >= 0:
-            if (x >> (w - 1 - branch[node])) & 1:
-                node = right[node]
-            else:
-                node = left[node]
-        return ~node
+def _bucket(field, size, w, sw):
+    """The (shift, left, right) flat trie of a bucket of size >= 2 keys."""
+    if size == 2:
+        # encode() writes the smaller key's bit, which is always 0.
+        d = field & ((1 << sw) - 1)
+        if d >= w or field >> sw:
+            raise CorruptIndexError("pair bucket the encoder cannot produce")
+        return (w - 1 - d,), (~0,), (~1,)
+    branch, left, right, _, _ = decode_trie(field, size, w, sw)
+    return tuple(w - 1 - d for d in branch), tuple(left), tuple(right)
 
 
 class MonotoneHash:
@@ -171,8 +171,7 @@ class MonotoneHash:
     equal payloads through one memo are one shared, never-changed object.
     """
 
-    __slots__ = ("m", "u", "_w", "_beta", "_samples", "_buckets", "_payload",
-                 "_nbits")
+    __slots__ = ("m", "u", "_w", "_samples", "_buckets", "_payload", "_nbits")
 
     def __init__(self, keys, u):
         keys = list(keys)
@@ -211,18 +210,20 @@ class MonotoneHash:
 
     def eval(self, x):
         """Rank of x in the key set when x is a member; arbitrary otherwise."""
-        if self.m == 0:
-            return 0
-        j = bisect_right(self._samples, x)
-        kind, data = self._buckets[j]
-        if kind == _EMPTY:
-            offset = 0
-        elif kind == _PAIR:
-            d, v = data
-            offset = 0 if ((x >> (self._w - 1 - d)) & 1) == v else 1
+        samples = self._samples
+        if samples:
+            j = bisect_right(samples, x)
+            shift, left, right = self._buckets[j]
+            first = j * self._w
         else:
-            offset = data.descend(x, self._w)
-        return j * self._beta + offset
+            shift, left, right = self._buckets[0]
+            first = 0
+        if not shift:
+            return first  # a one-key bucket
+        node = 0
+        while node >= 0:
+            node = right[node] if (x >> shift[node]) & 1 else left[node]
+        return first + ~node
 
     # -- size accounting ---------------------------------------------------
 
@@ -276,8 +277,9 @@ class MonotoneHash:
 
         `memo` belongs to one build or load of hashes over the same u.  It
         maps m to the payload size, (m, payload) to the hash already decoded
-        from it and (_Trie, s, bits) to a bucket trie; a hit is returned
-        again, since neither is ever changed after construction.
+        from it and (_bucket, s, bits) to the flat trie of a bucket of s keys;
+        a hit is returned again, since neither is ever changed after
+        construction.
         """
         key = (m, payload)
         h = memo.get(key)
@@ -291,36 +293,24 @@ class MonotoneHash:
         self.m = m
         self.u = u
         w, sw = self.widths(u)
-        self._w = self._beta = w
+        self._w = w
         self._payload = payload
         nsamples = max(0, (m + w - 1) // w - 1)
         self._samples = samples = split_fields(payload, nsamples, w)
         if not increasing_below(samples, u):
             raise CorruptIndexError("hash samples are not increasing keys below u")
         pos = nsamples * w
-        self._buckets = buckets = []
+        self._buckets = buckets = [] if m else [_LEAF]
         for lo in range(0, m, w):
             size = min(w, m - lo)
             nbits = _bucket_bits(size, sw)
             field = (payload >> pos) & ((1 << nbits) - 1)
             pos += nbits
-            if size == 1:
-                buckets.append((_EMPTY, None))
-            elif size == 2:
-                # encode() writes the smaller key's bit, which is always 0.
-                d = field & ((1 << sw) - 1)
-                if d >= w or field >> sw:
-                    raise CorruptIndexError("pair bucket the encoder cannot produce")
-                buckets.append((_PAIR, (d, 0)))
-            else:
-                key = (_Trie, size, field)
-                trie = memo.get(key)
-                if trie is None:
-                    trie = memo[key] = object.__new__(_Trie)
-                    trie.branch, trie.left, trie.right, _, _ = decode_trie(
-                        field, size, w, sw
-                    )
-                buckets.append((_TRIE, trie))
+            key = (_bucket, size, field)
+            bucket = memo.get(key) if size > 1 else _LEAF
+            if bucket is None:
+                bucket = memo[key] = _bucket(field, size, w, sw)
+            buckets.append(bucket)
         self._nbits = pos
         return self
 

@@ -3,10 +3,10 @@
 A permutation pi over [L] is augmented with back-shortcuts: along every
 non-trivial cycle of length >= spacing, every spacing-th element (walking
 forward from the cycle's minimum) is marked and stores the element spacing
-steps behind it.
-Inverting then walks forward from the query, takes at most one back-jump at
-the first marked element, and walks on until the predecessor shows up; the
-gap structure bounds the forward evaluations by 2 * spacing + 1.
+steps behind it.  Inverting then walks forward from the query, takes at
+most one back-jump at the first marked element, and walks on until the
+predecessor shows up; the gap structure bounds the forward evaluations by
+2 * spacing + 1.  walk() is that one loop, with a block's pi step inlined.
 """
 
 from __future__ import annotations
@@ -18,6 +18,22 @@ from .errors import (
     OutOfRangeError,
     ProbeBudgetError,
 )
+
+
+class _Forward:
+    """A plain evaluator pi seen as walk()'s text and hashes: the step
+    reads pi(x) as the symbol, base is the identity and every offset 0."""
+
+    __slots__ = ("access",)
+
+    def __init__(self, pi):
+        self.access = lambda session, x: pi(x)
+
+    def __getitem__(self, c):
+        return self
+
+    def eval(self, x):
+        return 0
 
 
 def eval_budget(spacing):
@@ -66,27 +82,37 @@ class ShortcutTable:
 
     def invert(self, q, pi):
         """Return i with pi(i) == q, using at most eval_budget(spacing) calls."""
+        forward = _Forward(pi)
+        return self.walk(q, forward, None, 0, range(self.length), forward)
+
+    def walk(self, q, text, session, start, base, hashes):
+        """Return x with pi(x) == q, for the block permutation pi whose step is
+
+            c = text.access(session, start + x)
+            pi(x) = base[c] + hashes[c].eval(x)
+
+        Walks forward from q, tests each element's mark until the one
+        back-jump, and stops when q shows up again; at most
+        eval_budget(spacing) accesses.
+        """
         if not 0 <= q < self.length:
             raise OutOfRangeError(f"value {q} outside [0, {self.length})")
-        limit = eval_budget(self.spacing)
-        marked = self.marked
-        evals = 0
+        access = text.access
+        words = self.marked._words
         x = q
-        jumped = False
-        while True:
-            if not jumped and marked.get(x):
-                x = self.targets[marked.rank1(x)]
-                jumped = True
-                continue
-            evals += 1
-            if evals > limit:
-                raise ProbeBudgetError(
-                    f"inversion exceeded {limit} evaluations (spacing={self.spacing})"
-                )
-            y = pi(x)
+        for _ in range(eval_budget(self.spacing)):
+            if words is not None and (words[x >> 6] >> (x & 63)) & 1:
+                x = self.targets[self.marked.rank1(x)]
+                words = None  # one back-jump at most
+            c = access(session, start + x)
+            y = base[c] + hashes[c].eval(x)
             if y == q:
                 return x
             x = y
+        raise ProbeBudgetError(
+            f"inversion exceeded {eval_budget(self.spacing)} evaluations "
+            f"(spacing={self.spacing})"
+        )
 
     # -- size accounting and serialization ----------------------------------
 

@@ -1,12 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strindex import NotFoundError, OutOfRangeError, RsBitvector
 from strindex.bits import (
+    SUPER,
     BitReader,
     BitWriter,
     CorruptIndexError,
+    _select_in_word,
     unary_bitvector,
     unary_counts,
     width,
@@ -180,3 +184,36 @@ def test_unary_counts_rejects_malformed(pattern, nzeros):
 
 def test_width_is_bits_for_values_below_x():
     assert [width(x) for x in (0, 1, 2, 3, 4, 5, 1024, 1025)] == [1, 1, 1, 2, 2, 3, 10, 11]
+
+
+def _set_bits(word):
+    return [i for i in range(64) if word >> i & 1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_in_word_matches_a_bit_scan(seed):
+    rng = random.Random(seed)
+    # Random words of every density, plus the edge words.
+    words = [rng.getrandbits(64) & rng.getrandbits(64) for _ in range(100)]
+    words += [rng.getrandbits(64) | rng.getrandbits(64) for _ in range(100)]
+    words += [1, 1 << 63, (1 << 64) - 1, 0x8000000000000001, 0xFF << 56, 0xFF]
+    for word in words:
+        for r, pos in enumerate(_set_bits(word), 1):
+            assert _select_in_word(word, r) == pos, (hex(word), r)
+
+
+@pytest.mark.parametrize("nbits", [SUPER * 3 + 37, SUPER * 5, SUPER * 2 + 1, 63])
+@pytest.mark.parametrize("density", [0.03, 0.5, 0.97])
+def test_select_matches_a_scan_across_superblocks(nbits, density):
+    rng = random.Random(nbits * 100 + int(density * 100))
+    bits = [int(rng.random() < density) for _ in range(nbits)]
+    v = RsBitvector(bits)
+    ones = [i for i, b in enumerate(bits) if b]
+    zeros = [i for i, b in enumerate(bits) if not b]
+    assert [v.select1(j) for j in range(1, len(ones) + 1)] == ones
+    assert [v.select0(j) for j in range(1, len(zeros) + 1)] == zeros
+    # The padding bits of the last word are zeros in memory; none is selected.
+    with pytest.raises(NotFoundError):
+        v.select0(len(zeros) + 1)
+    with pytest.raises(NotFoundError):
+        v.select1(len(ones) + 1)

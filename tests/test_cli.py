@@ -88,14 +88,34 @@ def test_verify_ok(sample_files, capsys):
     assert "0 mismatches" in out
 
 
-def test_verify_zero_queries(sample_files, capsys):
+def check_verify_rejects_query_count(sample_files, capsys, queries):
     data, index = sample_files
-    rc, out, _ = run(capsys, [
-        "verify", "--index", str(index), "--input", str(data),
-        "--format", "raw8", "--sigma", "3", "--queries", "0",
-    ])
-    assert rc == 0
-    assert "checked 0 queries" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--index", str(index), "--input", str(data),
+              "--format", "raw8", "--sigma", "3", "--queries", queries])
+    assert exc.value.code == 2
+    assert "checked" not in capsys.readouterr().out
+
+
+def test_verify_zero_queries(sample_files, capsys):
+    # Checking nothing is not a pass: --queries must be at least 1.
+    check_verify_rejects_query_count(sample_files, capsys, "0")
+
+
+def test_verify_negative_queries(sample_files, capsys):
+    check_verify_rejects_query_count(sample_files, capsys, "-3")
+
+
+@pytest.mark.parametrize("queries", ["0", "-3"])
+def test_bench_needs_a_positive_query_count(sample_files, capsys, tmp_path, queries):
+    data, _ = sample_files
+    out_csv = tmp_path / "bench.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--input", str(data), "--format", "raw8", "--sigma", "3",
+              "--t-list", "1", "--queries", queries, "--out", str(out_csv)])
+    assert exc.value.code == 2
+    assert "PASS" not in capsys.readouterr().out
+    assert not out_csv.exists()
 
 
 def test_verify_corrupted_index(sample_files, capsys, tmp_path):

@@ -316,6 +316,37 @@ def test_index_bytes_are_pinned(text, t, k, sha256):
     assert [blk.base for blk in back.blocks] == [blk.base for blk in ix.blocks]
 
 
+_PINNED_TEXTS = {
+    "uniform": make_random_text(3000, 64, seed=11),
+    "zipf": _zipf_text(3000, 16, seed=12),
+}
+
+
+_PINNED_PROBES = [
+    ("uniform", 1, "e7e057a9c41d3e0fafac16b37c215df3d3159d6228553a220b2861cd2d5a7c6d"),
+    ("uniform", 2, "f2a98258c9ad87e6c5278afff1523d4a23b9b0877816bc0dea3ba624e0372854"),
+    ("uniform", 5, "0bd1c4d4fad7e6238b2bb1ee9a2f3fae4e18047a2b8e6f77dca520f14774a8b1"),
+    ("zipf", 1, "f9c50813fe34df027f933ffe0ff29bd0060019ac53101058ac84856242ed3932"),
+    ("zipf", 2, "b6a2dcdd61690fcc2ff01ec75fbef1b902eb775c7b165ad907e18f1d8df6d2df"),
+    ("zipf", 5, "5ede613c9fdd32061dea2c0adf47fd54a2856ef7934467e838c7f59d7a08e9e9"),
+]
+
+
+@pytest.mark.parametrize("name, t, sha256", _PINNED_PROBES,
+                         ids=[f"{name}-t{t}" for name, t, _ in _PINNED_PROBES])
+def test_probe_counts_are_pinned(name, t, sha256):
+    """Each query's probe count on a fixed workload; an optimisation must leave
+    every one unchanged."""
+    text = _PINNED_TEXTS[name]
+    ix = build(text, t, k=2)
+    probes = []
+    for kind, c, arg in make_workload(text, 1500, seed=t):
+        session = ProbeSession()
+        getattr(ix, kind)(text, session, c, arg)
+        probes.append(session.count)
+    assert hashlib.sha256(",".join(map(str, probes)).encode()).hexdigest() == sha256
+
+
 def test_pairing_mismatch_detected_at_query_time():
     text = make_random_text(100, 8, seed=2)
     other = make_random_text(100, 8, seed=3)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +139,52 @@ def test_payload_size_depends_only_on_m_and_u(data):
     g = MonotoneHash.read(BitReader(bw.getvalue()), len(keys), u)
     for rank, key in enumerate(keys):
         assert g.eval(key) == rank
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_eval_over_several_buckets(data):
+    """Members map to their rank and every x into [0, max(m, 1)), m up to 3w."""
+    u = data.draw(st.integers(min_value=1, max_value=4096))
+    w = width(u)
+    keys = sorted(data.draw(st.sets(st.integers(0, u - 1), max_size=min(u, 3 * w))))
+    h = MonotoneHash(keys, u)
+    for rank, key in enumerate(keys):
+        assert h.eval(key) == rank
+    for x in data.draw(st.lists(st.integers(0, u - 1), max_size=40)):
+        assert 0 <= h.eval(x) < max(len(keys), 1)
+    bw = BitWriter()
+    h.write(bw)
+    g = MonotoneHash.read(BitReader(bw.getvalue()), len(keys), u)
+    assert [g.eval(x) for x in range(min(u, 512))] == [h.eval(x) for x in range(min(u, 512))]
+
+
+def test_equal_buckets_are_one_object_through_one_memo():
+    u = 64  # w = 6: buckets of up to 6 keys, so 7+ keys span several buckets
+    rng = random.Random(4)
+    streams = []
+    for _ in range(2):  # two loads' worth of hashes, read through one memo
+        sets = [sorted(rng.sample(range(u), m)) for m in (1, 2, 3, 4, 7, 8, 13, 20)
+                for _ in range(15)]
+        bw = BitWriter()
+        for keys in sets:
+            MonotoneHash(keys, u).write(bw)
+        streams.append((sets, bw.getvalue()))
+    memo = {}
+    hashes = []
+    for sets, payload in streams:
+        br = BitReader(payload)
+        hashes += [MonotoneHash.read(br, len(keys), u, memo) for keys in sets]
+    for h, keys in zip(hashes, [k for sets, _ in streams for k in sets]):
+        assert [h.eval(key) for key in keys] == list(range(len(keys)))
+    buckets = [b for h in hashes for b in h._buckets]
+    ids = {}
+    for b in buckets:
+        ids.setdefault(b, set()).add(id(b))
+    assert all(len(same) == 1 for same in ids.values())
+    first = {id(b) for h in hashes[:len(hashes) // 2] for b in h._buckets}
+    second = {id(b) for h in hashes[len(hashes) // 2:] for b in h._buckets}
+    assert len(first & second) > 10  # the second load reuses the first's
 
 
 def test_read_shares_equal_payloads_through_memo():
