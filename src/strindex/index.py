@@ -5,19 +5,23 @@ be shorter).  Per block: a unary bitstring Z = 1^{n_0} 0 1^{n_1} 0 ... encodes
 symbol multiplicities; a monotone hash per present symbol ranks in-block
 occurrences; shortcut tables invert the block's stable-sort permutation; a
 predecessor structure per present symbol counts occurrences below a position.
-Across blocks, one unary bitvector per symbol locates occurrences by block.
+Across blocks, one unary bitvector per symbol records its count in each block;
+it is stored and checked on load, and queries route through an in-memory
+table of the same counts as prefix sums.
 
-select walks: block via the cross vector (probe-free), then one permutation
-inversion (<= 2t+1 probes).  rank adds a predecessor query whose accessor is
-the in-block select, giving (3 + ceil(log2 k)) * (2t+1) probes at worst.
-access is a single probe.  The stored index never contains sequence symbols,
-only counts and permutation shortcuts.
+select walks: block via a binary search of that table (probe-free), then one
+permutation inversion (<= 2t+1 probes).  rank reads its block's entry of the
+table and adds a predecessor query whose accessor is the in-block select,
+giving (3 + ceil(log2 k)) * (2t+1) probes at worst.  access is a single
+probe.  The stored index never contains sequence symbols, only counts and
+permutation shortcuts.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 
@@ -114,16 +118,19 @@ class SpaceReport:
 class StringIndex:
     """Systematic rank/select index; stores counts, never symbols."""
 
-    __slots__ = ("n", "sigma", "t", "k", "fingerprint", "cross", "blocks",
-                 "_sel_budget", "_rnk_budget", "_paired")
+    __slots__ = ("n", "sigma", "t", "k", "fingerprint", "cross", "before",
+                 "blocks", "_sel_budget", "_rnk_budget", "_paired")
 
-    def __init__(self, n, sigma, t, k, fingerprint, cross, blocks):
+    def __init__(self, n, sigma, t, k, fingerprint, cross, before, blocks):
         self.n = n
         self.sigma = sigma
         self.t = t
         self.k = k
         self.fingerprint = fingerprint
         self.cross = cross
+        # before[c * (nblocks + 1) + b]: occurrences of c in blocks < b; the
+        # row's last entry is count(c).
+        self.before = before
         self.blocks = blocks
         self._sel_budget = select_budget(t)
         self._rnk_budget = rank_budget(t, k)
@@ -149,6 +156,7 @@ class StringIndex:
         hash_widths = MonotoneHash.widths(sigma)
         pred_widths = PredIndex.widths(sigma, k)
         hash_memo, pred_memo = {}, {}
+        base_row = _row(sigma, sigma)
         blocks = []
         block_counts = []
         for start in range(0, n, sigma):
@@ -171,7 +179,7 @@ class StringIndex:
                     if m > DIRECT_LIMIT else 0,
                     m, sigma, k, pred_memo,
                 )
-            base = _prefix_counts(counts)
+            base = _prefix_counts(counts, base_row)
             pi = [0] * length
             for c in chars:
                 for r, i in enumerate(occ[c], base[c]):
@@ -182,7 +190,8 @@ class StringIndex:
             ))
             block_counts.append(counts)
         cross = [unary_bitvector(column) for column in zip(*block_counts)]
-        return cls(n, sigma, t, k, text.fingerprint, cross, blocks)
+        return cls(n, sigma, t, k, text.fingerprint, cross,
+                   _routing_table(block_counts, cross), blocks)
 
     # -- queries ---------------------------------------------------------------
 
@@ -213,12 +222,13 @@ class StringIndex:
         if j < 1:
             raise OutOfRangeError(f"occurrence ordinal must be >= 1, got {j}")
         before = session.count
-        vc = self.cross[c]
-        if j > vc.ones:
+        table = self.before
+        row = c * (len(self.blocks) + 1)
+        end = row + len(self.blocks)
+        if j > table[end]:
             return -1
-        pos = vc.select1(j)
-        b = pos - j + 1  # zeros before the j-th one
-        jp = j - (vc.select0(b) - b + 1) if b else j
+        b = bisect_left(table, j, row, end) - 1 - row
+        jp = j - table[row + b]
         blk = self.blocks[b]
         base = blk.base
         answer = blk.start + blk.shortcuts.walk(
@@ -239,16 +249,12 @@ class StringIndex:
         if not 0 <= p <= self.n:
             raise OutOfRangeError(f"prefix {p} out of range [0, {self.n}]")
         before = session.count
-        vc = self.cross[c]
-        if p == 0:
-            return 0
         b, p_local = divmod(p, self.sigma)
-        if b >= len(self.blocks):
-            return vc.ones  # p == n on a block boundary
-        cross_before = (vc.select0(b) - b + 1) if b else 0
-        blk = self.blocks[b]
+        # b == nblocks only when p == n on a block seam: the row's last entry.
+        cross_before = self.before[c * (len(self.blocks) + 1) + b]
         if p_local == 0:
             return cross_before
+        blk = self.blocks[b]
         in_block = 0
         if c in blk.hashes:
             pred = blk.preds[c]
@@ -285,6 +291,7 @@ class StringIndex:
             + sum(v.directory_bits for v in self.cross)
             + sum(blk.shortcuts.marked.directory_bits for blk in self.blocks)
             + sum(8 * blk.base.itemsize * len(blk.base) for blk in self.blocks)
+            + 8 * self.before.itemsize * len(self.before)
         )
         total_bits = 8 * len(self.to_bytes())
         component = z_bits + cross_bits + mmphf_bits + pred_bits + shortcut_bits
@@ -437,19 +444,46 @@ class StringIndex:
         shortcuts = [ShortcutTable.read(br, lengths[b], t) for b in range(nblocks)]
         _finish_section(br, sections[_TAG_SHORT])
 
+        base_row = _row(sigma, sigma)
         blocks = [
             _Block(
-                b * sigma, lengths[b], zs[b], _prefix_counts(counts[b]), charsets[b],
-                hashes_per_block[b], preds_per_block[b], shortcuts[b],
+                b * sigma, lengths[b], zs[b], _prefix_counts(counts[b], base_row),
+                charsets[b], hashes_per_block[b], preds_per_block[b], shortcuts[b],
             )
             for b in range(nblocks)
         ]
-        return cls(n, sigma, t, k, fingerprint, cross, blocks)
+        return cls(n, sigma, t, k, fingerprint, cross, _routing_table(counts, cross),
+                   blocks)
 
 
-def _prefix_counts(counts):
-    """base[c] = counts[0] + ... + counts[c-1], as a compact unsigned array."""
-    return array("I", accumulate(counts[:-1], initial=0))
+def _typecode(largest):
+    """The narrowest unsigned array typecode, of B, H, I and Q, that holds largest."""
+    return next(code for code in "BHIQ" if largest < 1 << 8 * array(code).itemsize)
+
+
+def _row(largest, length):
+    """A Struct of `length` unsigned values <= largest, at _typecode width.
+
+    Arrays are filled from its packed bytes: struct converts ints in C, while
+    array's own per-item conversion to B and H is about twice as slow.
+    """
+    return struct.Struct(f"{length}{_typecode(largest)}")
+
+
+def _prefix_counts(counts, row):
+    """base[c] = counts[0] + ... + counts[c-1]; row is _row(sigma, sigma),
+    since an entry is at most the block length."""
+    return array(row.format[-1], row.pack(*accumulate(counts[:-1], initial=0)))
+
+
+def _routing_table(block_counts, cross):
+    """Row c: prefix sums over blocks of block_counts[b][c], 0 up to
+    count(c) = cross[c].ones, all rows in one flat array."""
+    row = _row(max(v.ones for v in cross), len(block_counts) + 1)
+    table = array(row.format[-1])
+    for column in zip(*block_counts):
+        table.frombytes(row.pack(*accumulate(column, initial=0)))
+    return table
 
 
 def _finish_section(br, payload):

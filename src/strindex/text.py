@@ -42,11 +42,11 @@ class ProbedText:
         payload = tuple(symbols)
         if not payload:
             raise EmptyTextError("text must contain at least one symbol")
-        for pos, sym in enumerate(payload):
-            if not 0 <= sym < sigma:
-                raise MalformedInputError(
-                    f"symbol {sym} at position {pos} outside alphabet [0, {sigma})"
-                )
+        if min(payload) < 0 or max(payload) >= sigma:
+            pos = next(i for i, sym in enumerate(payload) if not 0 <= sym < sigma)
+            raise MalformedInputError(
+                f"symbol {payload[pos]} at position {pos} outside alphabet [0, {sigma})"
+            )
         if sigma > len(payload):
             raise SigmaExceedsLengthError(
                 f"sigma {sigma} exceeds text length {len(payload)}"
@@ -108,12 +108,7 @@ def load(data, fmt, declared_sigma=None):
     if declared_sigma is not None:
         if declared_sigma < 2:
             raise MalformedInputError(f"sigma must be at least 2, got {declared_sigma}")
-        sigma = declared_sigma
-        for pos, sym in enumerate(symbols):
-            if sym >= sigma:
-                raise MalformedInputError(
-                    f"symbol {sym} at position {pos} outside alphabet [0, {sigma})"
-                )
+        sigma = declared_sigma  # ProbedText rejects symbols outside it
     else:
         sigma = max(2, max(symbols) + 1)
     return ProbedText(symbols, sigma)

@@ -1,11 +1,14 @@
 import gc
 import hashlib
 import random
+from array import array
 from bisect import bisect_right
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strindex import (
     BadSymbolError,
@@ -22,9 +25,8 @@ from strindex import (
     rank_budget,
     select_budget,
 )
-from strindex.audit import make_workload
-from strindex.bits import BitReader
-from strindex.bits import width
+from strindex.audit import Reference, make_workload
+from strindex.bits import BitReader, unary_counts, width
 from strindex.index import (
     _HEADER,
     _TABLE_ENTRY,
@@ -33,6 +35,7 @@ from strindex.index import (
     _TAG_PRED,
     _TAG_SHORT,
     _TAG_Z,
+    _typecode,
 )
 from conftest import brute_rank, brute_select, make_random_text, positions_of
 
@@ -382,7 +385,79 @@ def test_space_report_components_sum():
         blk.z.directory_bits + blk.shortcuts.marked.directory_bits for blk in ix.blocks
     )
     base_bits = 8 * ix.blocks[0].base.itemsize * text.sigma * nblocks
-    assert rep.directory_bits == vector_dirs + base_bits
+    table_bits = 8 * ix.before.itemsize * text.sigma * (nblocks + 1)
+    assert rep.directory_bits == vector_dirs + base_bits + table_bits
+
+
+@st.composite
+def _texts_with_gaps(draw):
+    """Blocks drawn from palettes held over runs of blocks, so a symbol can be
+    missing from many blocks in a row; the last block may be partial."""
+    sigma = draw(st.integers(2, 9))
+    symbols = []
+    for _ in range(draw(st.integers(1, 4))):
+        palette = draw(st.lists(st.integers(0, sigma - 1), min_size=1,
+                                max_size=sigma, unique=True))
+        for _ in range(draw(st.integers(1, 4))):
+            symbols += draw(st.lists(st.sampled_from(palette), min_size=sigma,
+                                     max_size=sigma))
+    if len(symbols) > sigma and draw(st.booleans()):
+        del symbols[-draw(st.integers(1, sigma - 1)):]
+    return ProbedText(symbols, sigma)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_texts_with_gaps(), st.integers(1, 3))
+def test_routing_matches_reference_at_edges(text, t):
+    n, sigma = text.n, text.sigma
+    ref = Reference(text)
+    built = build(text, t)
+    nblocks = len(built.blocks)
+    seams = [b * sigma for b in range(nblocks + 1) if b * sigma <= n]
+    for ix in (built, StringIndex.from_bytes(built.to_bytes())):
+        for c in range(sigma):
+            row = ix.before[c * (nblocks + 1):(c + 1) * (nblocks + 1)]
+            counts = unary_counts(ix.cross[c], nblocks)
+            assert list(row) == list(accumulate(counts, initial=0))
+            total = ref.count(c)
+            for j in {1, max(1, total), total + 1}:
+                assert ix.select(text, ProbeSession(), c, j) == ref.select(c, j)
+            for p in seams + [n - 1, n]:  # n is on a seam or inside the last block
+                assert ix.rank(text, ProbeSession(), c, p) == ref.rank(c, p)
+
+
+@pytest.mark.parametrize("largest, code", [
+    (255, "B"), (256, "H"), (65535, "H"), (65536, "I"),
+    (2**32 - 1, "I"), (2**32, "Q"),
+])
+def test_typecode_is_the_narrowest_that_holds_the_value(largest, code):
+    assert _typecode(largest) == code
+    assert array(code, [largest])[0] == largest
+
+
+def test_base_holds_sigma_when_a_full_block_lacks_the_last_symbol():
+    sigma = 256
+    # Block 1 is full and lacks symbol 255, so its base[255] is 256.
+    text = ProbedText(list(range(sigma)) + [0] + list(range(255)) + [255] * 9, sigma)
+    ix = build(text, t=2)
+    assert ix.blocks[1].base[255] == 256
+    assert {blk.base.typecode for blk in ix.blocks} == {"H"}
+    back = StringIndex.from_bytes(ix.to_bytes())
+    assert [blk.base for blk in back.blocks] == [blk.base for blk in ix.blocks]
+    assert back.before == ix.before
+    assert back.to_bytes() == ix.to_bytes()
+    ref = Reference(text)
+    for j in range(1, ref.count(255) + 2):
+        assert back.select(text, ProbeSession(), 255, j) == ref.select(255, j)
+    for p in (256, 511, 512, 513, text.n):
+        assert back.rank(text, ProbeSession(), 255, p) == ref.rank(255, p)
+
+
+def test_routing_table_is_sized_by_the_largest_count():
+    assert build(ProbedText([0] * 255 + [1], 2), t=1).before.typecode == "B"
+    wide = build(ProbedText([0] * 256 + [1], 2), t=1)
+    assert wide.before.typecode == "H"
+    assert wide.before[len(wide.blocks)] == 256  # row 0 ends in count(0)
 
 
 def test_rank_at_exact_text_end_multiple_of_sigma():

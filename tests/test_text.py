@@ -123,5 +123,10 @@ def test_fingerprint_is_stable_and_discriminating():
 def test_constructor_validates():
     with pytest.raises(MalformedInputError):
         ProbedText([0, 3], 3)
+    # The first symbol outside the alphabet is named, above it or below 0.
+    with pytest.raises(MalformedInputError, match="symbol 3 at position 1"):
+        ProbedText([0, 3, 1, 9], 3)
+    with pytest.raises(MalformedInputError, match="symbol -1 at position 2"):
+        ProbedText([0, 1, -1, 5], 3)
     with pytest.raises(EmptyTextError):
         ProbedText([], 2)
