@@ -23,7 +23,7 @@ import struct
 from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .bits import BitReader, BitWriter, unary_bitvector, unary_counts, width
 from .errors import (
@@ -422,23 +422,10 @@ class StringIndex:
             cross.append(v)
         _finish_section(br, sections[_TAG_CROSS])
 
-        # Each set is one fixed-size field; a memo that lives for this call
-        # only lets sets with equal payloads share one immutable object.
-        br = BitReader(sections[_TAG_MMPHF])
-        memo = {}
-        hashes_per_block = [
-            {c: MonotoneHash.read(br, counts[b][c], sigma, memo) for c in charsets[b]}
-            for b in range(nblocks)
-        ]
-        _finish_section(br, sections[_TAG_MMPHF])
-
-        br = BitReader(sections[_TAG_PRED])
-        memo = {}
-        preds_per_block = [
-            {c: PredIndex.read(br, counts[b][c], sigma, k, memo) for c in charsets[b]}
-            for b in range(nblocks)
-        ]
-        _finish_section(br, sections[_TAG_PRED])
+        hashes_per_block = _read_sets(sections[_TAG_MMPHF], counts, charsets,
+                                      MonotoneHash, sigma)
+        preds_per_block = _read_sets(sections[_TAG_PRED], counts, charsets,
+                                     PredIndex, sigma, k)
 
         br = BitReader(sections[_TAG_SHORT])
         shortcuts = [ShortcutTable.read(br, lengths[b], t) for b in range(nblocks)]
@@ -484,6 +471,43 @@ def _routing_table(block_counts, cross):
     for column in zip(*block_counts):
         table.frombytes(row.pack(*accumulate(column, initial=0)))
     return table
+
+
+def _read_sets(section, counts, charsets, cls, *params):
+    """Per block, {c: the cls set of counts[b][c] members}, from a hash or
+    predecessor section; params are what cls.payload_bits and cls.shared
+    take after m, such as sigma and k.
+
+    A payload's size depends only on m, so each block's payloads are read
+    as one field and split.  A memo that lives for this call only lets sets
+    with equal payloads share one immutable object; a set that stores
+    nothing is the one object of its m.
+    """
+    br = BitReader(section)
+    memo = {}
+    sizes = {m: cls.payload_bits(m, *params)
+             for m in set(chain.from_iterable(counts)) if m}
+    empty = {m: cls.shared(0, m, *params, memo) for m, size in sizes.items() if not size}
+    out = []
+    for cnt, chars in zip(counts, charsets):
+        ms = list(filter(None, cnt))  # the m of each symbol in chars
+        nbits = list(map(sizes.__getitem__, ms))
+        total = sum(nbits)
+        if not total:
+            out.append(dict(zip(chars, map(empty.__getitem__, ms))))
+            continue
+        field = br.read(total)
+        sets = {}
+        for c, m, size in zip(chars, ms, nbits):
+            if size:
+                key = (m, field & ((1 << size) - 1))
+                field >>= size
+                sets[c] = memo.get(key) or cls.shared(key[1], m, *params, memo)
+            else:
+                sets[c] = empty[m]
+        out.append(sets)
+    _finish_section(br, section)
+    return out
 
 
 def _finish_section(br, payload):

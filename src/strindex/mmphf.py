@@ -241,9 +241,10 @@ class MonotoneHash:
         a trie over s keys has s - 1 internal nodes, so (2s - 1) + (s - 1) * sw.
         """
         w, sw = MonotoneHash.widths(u)
+        full, rest = divmod(m, w)
         # Every bucket but the first is preceded by its w-bit separator.
-        return max(0, sum(w + _bucket_bits(min(w, m - lo), sw)
-                          for lo in range(0, m, w)) - w)
+        samples = max(0, full + (rest > 0) - 1) * w
+        return samples + full * _bucket_bits(w, sw) + _bucket_bits(rest, sw)
 
     def bits(self):
         """Exact payload size in bits; equals what write() emits."""
@@ -263,21 +264,16 @@ class MonotoneHash:
         The payload is read as one field of payload_bits(m, u) bits.  `memo`
         belongs to one load of hashes over the same u; see shared().
         """
-        if memo is None:
-            memo = {}
-        size = memo.get(m)
-        if size is None:
-            size = memo[m] = cls.payload_bits(m, u)
-        payload = br.read(size) if size else 0
-        return memo.get((m, payload)) or cls.shared(payload, m, u, memo)
+        payload = br.read(cls.payload_bits(m, u))
+        return cls.shared(payload, m, u, {} if memo is None else memo)
 
     @classmethod
     def shared(cls, payload, m, u, memo):
         """The hash of m keys over [u] decoded from the int `payload`.
 
         `memo` belongs to one build or load of hashes over the same u.  It
-        maps m to the payload size, (m, payload) to the hash already decoded
-        from it and (_bucket, s, bits) to the flat trie of a bucket of s keys;
+        maps (m, payload) to the hash already decoded from it and
+        (_bucket, s, bits) to the flat trie of a bucket of s keys;
         a hit is returned again, since neither is ever changed after
         construction.
         """
@@ -324,4 +320,6 @@ class MonotoneHash:
         if len(data) < 16:
             raise CorruptIndexError("monotone hash header truncated")
         m, u = struct.unpack_from("<QQ", data, 0)
+        if u < 1 or m > u:
+            raise CorruptIndexError(f"hash header m={m} u={u} needs u >= 1 and m <= u")
         return cls.read(BitReader(data[16:]), m, u)

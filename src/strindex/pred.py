@@ -242,8 +242,9 @@ class PredIndex:
         if m <= DIRECT_LIMIT:
             return EMPTY_PRED_BITS
         w, sw, rw = PredIndex.widths(sigma, k)
-        return sum(w + _bucket_bits(min(w, m - base), k, w, sw, rw)
-                   for base in range(0, m, w))
+        full, rest = divmod(m, w)
+        total = full * (w + _bucket_bits(w, k, w, sw, rw))
+        return total + (w + _bucket_bits(rest, k, w, sw, rw) if rest else 0)
 
     def bits(self):
         """Exact payload size in bits; EMPTY_PRED_BITS when nothing is stored."""
@@ -262,22 +263,17 @@ class PredIndex:
         `memo` belongs to one load of sets over the same sigma and k; see
         shared().
         """
-        if memo is None:
-            memo = {}
-        size = memo.get(m)
-        if size is None:
-            size = memo[m] = cls.payload_bits(m, sigma, k)
-        payload = br.read(size) if size else 0
-        return memo.get((m, payload)) or cls.shared(payload, m, sigma, k, memo)
+        payload = br.read(cls.payload_bits(m, sigma, k))
+        return cls.shared(payload, m, sigma, k, {} if memo is None else memo)
 
     @classmethod
     def shared(cls, payload, m, sigma, k, memo):
         """The index of m members over [sigma] decoded from the int `payload`.
 
         `memo` belongs to one build or load of sets over the same sigma and
-        k.  It maps m to the payload size, (m, payload) to the index already
-        decoded from it and (BlindTrie, L, bits) to a bucket trie; a hit is
-        returned again, since neither is ever changed after construction.
+        k.  It maps (m, payload) to the index already decoded from it and
+        (BlindTrie, L, bits) to a bucket trie; a hit is returned again,
+        since neither is ever changed after construction.
         """
         key = (m, payload)
         ix = memo.get(key)

@@ -22,6 +22,8 @@ FORMATS = ("raw8", "u32le", "tokens")
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
+_FNV_PRIME_3 = _FNV_PRIME ** 3 & _U64
+_FNV_PRIME_4 = _FNV_PRIME ** 4 & _U64
 
 
 class ProbeSession:
@@ -77,12 +79,26 @@ class ProbedText:
 
     @property
     def fingerprint(self):
-        """FNV-1a over n (u64 LE), sigma (u32 LE), then each symbol as u32 LE."""
+        """FNV-1a over n (u64 LE), sigma (u32 LE), then each symbol as u32 LE.
+
+        A symbol below sigma has zero high bytes, and a byte step on a zero
+        byte is a plain multiply, so up to sigma = 65536 each symbol takes one
+        step that multiplies by the prime's power for its zero bytes.
+        """
         if self._fingerprint is None:
             h = _FNV_OFFSET
-            n = self._n
-            for byte in struct.pack(f"<QI{n}I", n, self._sigma, *self._payload):
+            sigma = self._sigma
+            for byte in struct.pack("<QI", self._n, sigma):
                 h = ((h ^ byte) * _FNV_PRIME) & _U64
+            if sigma <= 1 << 8:
+                for s in self._payload:
+                    h = ((h ^ s) * _FNV_PRIME_4) & _U64
+            elif sigma <= 1 << 16:
+                for s in self._payload:
+                    h = (((h ^ (s & 255)) * _FNV_PRIME ^ (s >> 8)) * _FNV_PRIME_3) & _U64
+            else:
+                for byte in struct.pack(f"<{self._n}I", *self._payload):
+                    h = ((h ^ byte) * _FNV_PRIME) & _U64
             self._fingerprint = h
         return self._fingerprint
 

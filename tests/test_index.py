@@ -35,6 +35,7 @@ from strindex.index import (
     _TAG_PRED,
     _TAG_SHORT,
     _TAG_Z,
+    _TAGS,
     _typecode,
 )
 from conftest import brute_rank, brute_select, make_random_text, positions_of
@@ -480,14 +481,30 @@ def test_load_reads_each_set_once_and_shares_equal_ones(monkeypatch):
 
     monkeypatch.setattr(BitReader, "read", counting_read)
     back = StringIndex.from_bytes(blob)
+    # One field per block at most: a block whose sets store nothing reads none.
     for tag in (_TAG_MMPHF, _TAG_PRED):
         off, length = _section(blob, tag)
-        assert reads[blob[off:off + length]] <= pairs
+        assert reads[blob[off:off + length]] <= len(ix.blocks)
     hashes = {id(h) for blk in back.blocks for h in blk.hashes.values()}
     preds = {id(p) for blk in back.blocks for p in blk.preds.values()}
     assert len(hashes) < pairs / 4
     assert len(preds) < pairs / 100
     assert back.to_bytes() == blob
+
+
+@pytest.mark.parametrize("tag", [_TAG_MMPHF, _TAG_PRED], ids=["mmphf", "pred"])
+@pytest.mark.parametrize("delta, match", [(-1, "truncated"), (1, "disagrees")])
+def test_hash_and_pred_section_of_the_wrong_length_is_corrupt(tag, delta, match):
+    # sigma=32, k=2: the heavy symbols' predecessor sets store payloads too.
+    blob = build(_zipf_text(3000, 32, seed=14), t=2, k=2).to_bytes()
+    off, length = _section(blob, tag)
+    # Resize the section in the table; the bytes after it stay in the file.
+    entry = _HEADER.size + _TAGS.index(tag) * _TABLE_ENTRY.size
+    assert _TABLE_ENTRY.unpack_from(blob, entry) == (tag, off, length)
+    resized = (blob[:entry] + _TABLE_ENTRY.pack(tag, off, length + delta)
+               + blob[entry + _TABLE_ENTRY.size:])
+    with pytest.raises(CorruptIndexError, match=match):
+        StringIndex.from_bytes(resized)
 
 
 def test_build_shares_equal_sets_as_load_does():

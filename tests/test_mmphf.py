@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from strindex.mmphf import (
     SIZE_C,
     SIZE_CPRIME,
     STANDALONE_HEADER_BITS,
+    _bucket_bits,
     decode_trie,
     encode_trie,
     trie_bits,
@@ -85,6 +87,29 @@ def test_serialization_round_trip():
     assert g.to_bytes() == blob
     for rank, key in enumerate(keys):
         assert g.eval(key) == rank
+
+
+@pytest.mark.parametrize("u", [1, 2, 3, 5, 16, 17, 255, 1024, 65537, 1 << 40])
+def test_payload_bits_closed_form_equals_the_bucket_loop(u):
+    w, sw = MonotoneHash.widths(u)
+    for m in range(3 * w + 1):
+        # One w-bit separator before every bucket but the first.
+        loop = max(0, sum(w + _bucket_bits(min(w, m - lo), sw)
+                          for lo in range(0, m, w)) - w)
+        assert MonotoneHash.payload_bits(m, u) == loop, (m, u)
+
+
+@pytest.mark.parametrize("m, u", [
+    (1 << 60, (1 << 64) - 1),  # payload far past the file, sized in O(1)
+    (1 << 60, 1 << 60),
+    (1 << 60, 1024),  # more keys than the universe holds
+    (2, 1),
+    (1, 0),
+    (0, 0),
+])
+def test_forged_standalone_header_is_corrupt(m, u):
+    with pytest.raises(CorruptIndexError):
+        MonotoneHash.from_bytes(struct.pack("<QQ", m, u) + bytes(16))
 
 
 def test_embedded_write_read_round_trip():

@@ -11,6 +11,7 @@ from strindex.pred import (
     DIRECT_LIMIT,
     EMPTY_PRED_BITS,
     BlindTrie,
+    _bucket_bits,
     budget,
 )
 
@@ -196,6 +197,18 @@ def test_trie_randomized_wide_keys():
             fetch = CountingFetch(keys)
             assert trie.predecessor(p, fetch) == brute_predecessor_rank(keys, p)
             assert fetch.calls <= 3
+
+
+@pytest.mark.parametrize("sigma", [2, 3, 8, 9, 64, 1000, 1024, 65537])
+def test_payload_bits_closed_form_equals_the_bucket_loop(sigma):
+    for k in range(1, width(sigma) + 1):
+        w, sw, rw = PredIndex.widths(sigma, k)
+        for m in range(3 * w + 1):
+            # One w-bit top key per bucket, then its samples past the first.
+            loop = sum(w + _bucket_bits(min(w, m - base), k, w, sw, rw)
+                       for base in range(0, m, w))
+            want = EMPTY_PRED_BITS if m <= DIRECT_LIMIT else loop
+            assert PredIndex.payload_bits(m, sigma, k) == want, (m, sigma, k)
 
 
 @settings(deadline=None, max_examples=300)

@@ -1,3 +1,4 @@
+import random
 import struct
 
 import pytest
@@ -118,6 +119,24 @@ def test_fingerprint_is_stable_and_discriminating():
     assert a.fingerprint == b.fingerprint
     assert a.fingerprint != c.fingerprint
     assert a.fingerprint != d.fingerprint
+
+
+def _fnv1a_bytes(symbols, sigma):
+    """The documented fingerprint: FNV-1a over n (u64 LE), sigma (u32 LE),
+    then each symbol as u32 LE, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for byte in struct.pack(f"<QI{len(symbols)}I", len(symbols), sigma, *symbols):
+        h = ((h ^ byte) * 0x100000001B3) % (1 << 64)
+    return h
+
+
+@pytest.mark.parametrize("sigma", [2, 255, 256, 257, 65535, 65536, 65537])
+def test_fingerprint_equals_the_byte_loop(sigma):
+    # Each width of symbol step and the byte fallback, with both extremes.
+    rng = random.Random(sigma)
+    symbols = [0, sigma - 1] + [rng.randrange(sigma) for _ in range(sigma + 300)]
+    rng.shuffle(symbols)
+    assert ProbedText(symbols, sigma).fingerprint == _fnv1a_bytes(symbols, sigma)
 
 
 def test_constructor_validates():
