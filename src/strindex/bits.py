@@ -8,6 +8,7 @@ four 64-bit words past a directory entry.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_left
 
 from .errors import CorruptIndexError, NotFoundError, OutOfRangeError
@@ -22,6 +23,11 @@ DIRECTORY_ENTRY_BITS = 32  # accounting width of one directory entry
 def width(x):
     """Bits needed to write any value in [0, x); at least 1."""
     return max(1, (x - 1).bit_length())
+
+
+def typecode(largest):
+    """The narrowest unsigned array typecode, of B, H, I and Q, that holds largest."""
+    return next(code for code in "BHIQ" if largest < 1 << 8 * array(code).itemsize)
 
 
 def split_fields(value, count, w):

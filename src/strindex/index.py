@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import accumulate, chain
 
-from .bits import BitReader, BitWriter, unary_bitvector, unary_counts, width
+from .bits import BitReader, BitWriter, typecode, unary_bitvector, unary_counts, width
 from .errors import (
     BadSymbolError,
     CorruptIndexError,
@@ -79,6 +79,7 @@ class _Block:
         self.z = z
         self.base = base  # base[c]: occurrences of symbols < c in the block
         self.chars = chars  # symbols with n_c >= 1, ascending
+        # hashes[c], preds[c]: c's sets, for every c < sigma; None where n_c = 0.
         self.hashes = hashes
         self.preds = preds
         self.shortcuts = shortcuts
@@ -166,18 +167,18 @@ class StringIndex:
                 occ.setdefault(c, []).append(i)
             chars = sorted(occ)
             counts = [0] * sigma
-            hashes, preds = {}, {}
+            hashes, preds = [None] * sigma, [None] * sigma
             for c in chars:
                 keys = occ[c]
                 m = counts[c] = len(keys)
                 hashes[c] = MonotoneHash.shared(
                     MonotoneHash.encode(keys, sigma, hash_widths) if m > 1 else 0,
-                    m, sigma, hash_memo,
+                    m, sigma, hash_memo, hash_widths,
                 )
                 preds[c] = PredIndex.shared(
                     PredIndex.encode(keys, sigma, k, pred_widths)
                     if m > DIRECT_LIMIT else 0,
-                    m, sigma, k, pred_memo,
+                    m, sigma, k, pred_memo, pred_widths,
                 )
             base = _prefix_counts(counts, base_row)
             pi = [0] * length
@@ -185,8 +186,8 @@ class StringIndex:
                 for r, i in enumerate(occ[c], base[c]):
                     pi[i] = r
             blocks.append(_Block(
-                start, length, unary_bitvector(counts), base, chars, hashes, preds,
-                ShortcutTable(pi.__getitem__, length, t),
+                start, length, unary_bitvector(counts), base, chars, tuple(hashes),
+                tuple(preds), ShortcutTable(pi.__getitem__, length, t),
             ))
             block_counts.append(counts)
         cross = [unary_bitvector(column) for column in zip(*block_counts)]
@@ -256,8 +257,8 @@ class StringIndex:
             return cross_before
         blk = self.blocks[b]
         in_block = 0
-        if c in blk.hashes:
-            pred = blk.preds[c]
+        pred = blk.preds[c]
+        if pred is not None:
             if p_local >= blk.length:
                 in_block = pred.m
             else:
@@ -282,8 +283,10 @@ class StringIndex:
     def space_report(self):
         z_bits = sum(blk.z.nbits for blk in self.blocks)
         cross_bits = sum(v.nbits for v in self.cross)
-        mmphf_bits = sum(h.bits() for blk in self.blocks for h in blk.hashes.values())
-        pred_bits = sum(p.bits() for blk in self.blocks for p in blk.preds.values())
+        mmphf_bits = sum(h.bits() for blk in self.blocks
+                         for h in blk.hashes if h is not None)
+        pred_bits = sum(p.bits() for blk in self.blocks
+                        for p in blk.preds if p is not None)
         shortcut_bits = sum(blk.shortcuts.bits() for blk in self.blocks)
         target_bits = sum(blk.shortcuts.target_bits() for blk in self.blocks)
         directory_bits = (
@@ -443,18 +446,13 @@ class StringIndex:
                    blocks)
 
 
-def _typecode(largest):
-    """The narrowest unsigned array typecode, of B, H, I and Q, that holds largest."""
-    return next(code for code in "BHIQ" if largest < 1 << 8 * array(code).itemsize)
-
-
 def _row(largest, length):
-    """A Struct of `length` unsigned values <= largest, at _typecode width.
+    """A Struct of `length` unsigned values <= largest, at typecode width.
 
     Arrays are filled from its packed bytes: struct converts ints in C, while
     array's own per-item conversion to B and H is about twice as slow.
     """
-    return struct.Struct(f"{length}{_typecode(largest)}")
+    return struct.Struct(f"{length}{typecode(largest)}")
 
 
 def _prefix_counts(counts, row):
@@ -474,9 +472,10 @@ def _routing_table(block_counts, cross):
 
 
 def _read_sets(section, counts, charsets, cls, *params):
-    """Per block, {c: the cls set of counts[b][c] members}, from a hash or
-    predecessor section; params are what cls.payload_bits and cls.shared
-    take after m, such as sigma and k.
+    """Per block, the tuple whose entry c is the cls set of counts[b][c]
+    members, None where that count is 0, from a hash or predecessor section;
+    params are what cls.widths, cls.payload_bits and cls.shared take after
+    m, such as sigma and k.
 
     A payload's size depends only on m, so each block's payloads are read
     as one field and split.  A memo that lives for this call only lets sets
@@ -485,27 +484,26 @@ def _read_sets(section, counts, charsets, cls, *params):
     """
     br = BitReader(section)
     memo = {}
+    widths = cls.widths(*params)
     sizes = {m: cls.payload_bits(m, *params)
              for m in set(chain.from_iterable(counts)) if m}
-    empty = {m: cls.shared(0, m, *params, memo) for m, size in sizes.items() if not size}
+    empty = {m: cls.shared(0, m, *params, memo, widths)
+             for m, size in sizes.items() if not size}
     out = []
     for cnt, chars in zip(counts, charsets):
         ms = list(filter(None, cnt))  # the m of each symbol in chars
         nbits = list(map(sizes.__getitem__, ms))
         total = sum(nbits)
-        if not total:
-            out.append(dict(zip(chars, map(empty.__getitem__, ms))))
-            continue
-        field = br.read(total)
-        sets = {}
+        field = br.read(total) if total else 0
+        sets = [None] * len(cnt)
         for c, m, size in zip(chars, ms, nbits):
             if size:
                 key = (m, field & ((1 << size) - 1))
                 field >>= size
-                sets[c] = memo.get(key) or cls.shared(key[1], m, *params, memo)
+                sets[c] = memo.get(key) or cls.shared(key[1], m, *params, memo, widths)
             else:
                 sets[c] = empty[m]
-        out.append(sets)
+        out.append(tuple(sets))
     _finish_section(br, section)
     return out
 

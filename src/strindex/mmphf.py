@@ -268,27 +268,27 @@ class MonotoneHash:
         return cls.shared(payload, m, u, {} if memo is None else memo)
 
     @classmethod
-    def shared(cls, payload, m, u, memo):
+    def shared(cls, payload, m, u, memo, widths=None):
         """The hash of m keys over [u] decoded from the int `payload`.
 
         `memo` belongs to one build or load of hashes over the same u.  It
         maps (m, payload) to the hash already decoded from it and
         (_bucket, s, bits) to the flat trie of a bucket of s keys;
         a hit is returned again, since neither is ever changed after
-        construction.
+        construction.  `widths` is widths(u), as for encode().
         """
         key = (m, payload)
         h = memo.get(key)
         if h is None:
-            h = memo[key] = object.__new__(cls)._decode(payload, m, u, memo)
+            h = memo[key] = object.__new__(cls)._decode(payload, m, u, memo, widths)
         return h
 
-    def _decode(self, payload, m, u, memo):
+    def _decode(self, payload, m, u, memo, widths=None):
         """Fill self from the int `payload`; raise CorruptIndexError on any
         field that encode() cannot produce."""
         self.m = m
         self.u = u
-        w, sw = self.widths(u)
+        w, sw = widths or self.widths(u)
         self._w = w
         self._payload = payload
         nsamples = max(0, (m + w - 1) // w - 1)
@@ -322,4 +322,9 @@ class MonotoneHash:
         m, u = struct.unpack_from("<QQ", data, 0)
         if u < 1 or m > u:
             raise CorruptIndexError(f"hash header m={m} u={u} needs u >= 1 and m <= u")
-        return cls.read(BitReader(data[16:]), m, u)
+        h = cls.read(BitReader(data[16:]), m, u)
+        if len(data) != 16 + (h.bits() + 7) // 8:
+            raise CorruptIndexError("monotone hash payload length mismatch")
+        if int.from_bytes(data[16:], "little") >> h.bits():
+            raise CorruptIndexError("monotone hash padding bits are not zero")
+        return h

@@ -267,34 +267,36 @@ class PredIndex:
         return cls.shared(payload, m, sigma, k, {} if memo is None else memo)
 
     @classmethod
-    def shared(cls, payload, m, sigma, k, memo):
+    def shared(cls, payload, m, sigma, k, memo, widths=None):
         """The index of m members over [sigma] decoded from the int `payload`.
 
         `memo` belongs to one build or load of sets over the same sigma and
         k.  It maps (m, payload) to the index already decoded from it and
         (BlindTrie, L, bits) to a bucket trie; a hit is returned again,
-        since neither is ever changed after construction.
+        since neither is ever changed after construction.  `widths` is
+        widths(sigma, k), as for encode().
         """
         key = (m, payload)
         ix = memo.get(key)
         if ix is None:
-            ix = memo[key] = object.__new__(cls)._decode(payload, m, sigma, k, memo)
+            ix = memo[key] = object.__new__(cls)._decode(payload, m, sigma, k, memo,
+                                                         widths)
         return ix
 
-    def _decode(self, payload, m, sigma, k, memo):
+    def _decode(self, payload, m, sigma, k, memo, widths=None):
         """Fill self from the int `payload`; raise CorruptIndexError on any
         field that encode() cannot produce."""
         self.m = m
         self.sigma = sigma
         self.k = k
-        self.g = self._w = w = width(sigma)
+        w, sw, rw = widths or self.widths(sigma, k)
+        self.g = self._w = w
         self._budget = budget(k)
         self._top = self._buckets = None
         self._payload = payload
         self._nbits = EMPTY_PRED_BITS
         if m <= DIRECT_LIMIT:
             return self
-        _, sw, rw = self.widths(sigma, k)
         ntop = (m + w - 1) // w
         self._top = top = split_fields(payload, ntop, w)
         pos = ntop * w

@@ -3,13 +3,16 @@
 Everything downstream sees symbols only through ProbedText.access, which
 charges exactly one probe to the caller's session.  Builders and the scanning
 oracle read through symbols(), which is deliberately uncharged: preprocessing
-reads are outside the query probe model.
+reads are outside the query probe model.  The symbols are packed into an
+array of the narrowest unsigned type that holds sigma - 1.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 
+from .bits import typecode
 from .errors import (
     EmptyTextError,
     MalformedInputError,
@@ -53,7 +56,7 @@ class ProbedText:
             raise SigmaExceedsLengthError(
                 f"sigma {sigma} exceeds text length {len(payload)}"
             )
-        self._payload = payload
+        self._payload = array(typecode(sigma - 1), payload)
         self._n = len(payload)
         self._sigma = sigma
         self._fingerprint = None
@@ -74,8 +77,9 @@ class ProbedText:
         return self._payload[i]
 
     def symbols(self):
-        """Uncharged view of the payload, for builders and the oracle only."""
-        return self._payload
+        """Uncharged read-only view of the payload, for builders and the
+        oracle only."""
+        return memoryview(self._payload).toreadonly()
 
     @property
     def fingerprint(self):

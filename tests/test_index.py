@@ -26,7 +26,7 @@ from strindex import (
     select_budget,
 )
 from strindex.audit import Reference, make_workload
-from strindex.bits import BitReader, unary_counts, width
+from strindex.bits import BitReader, typecode, unary_counts, width
 from strindex.index import (
     _HEADER,
     _TABLE_ENTRY,
@@ -36,7 +36,6 @@ from strindex.index import (
     _TAG_SHORT,
     _TAG_Z,
     _TAGS,
-    _typecode,
 )
 from conftest import brute_rank, brute_select, make_random_text, positions_of
 
@@ -66,7 +65,7 @@ def test_absent_character_short_circuits():
     text = ProbedText([0, 0, 0, 0], 2)
     ix = build(text, t=3)
     for blk in ix.blocks:
-        assert 1 not in blk.hashes and 1 not in blk.preds
+        assert blk.hashes[1] is None and blk.preds[1] is None
     sess = ProbeSession()
     assert ix.select(text, sess, 1, 1) == -1
     assert sess.count == 0
@@ -432,7 +431,7 @@ def test_routing_matches_reference_at_edges(text, t):
     (2**32 - 1, "I"), (2**32, "Q"),
 ])
 def test_typecode_is_the_narrowest_that_holds_the_value(largest, code):
-    assert _typecode(largest) == code
+    assert typecode(largest) == code
     assert array(code, [largest])[0] == largest
 
 
@@ -485,8 +484,8 @@ def test_load_reads_each_set_once_and_shares_equal_ones(monkeypatch):
     for tag in (_TAG_MMPHF, _TAG_PRED):
         off, length = _section(blob, tag)
         assert reads[blob[off:off + length]] <= len(ix.blocks)
-    hashes = {id(h) for blk in back.blocks for h in blk.hashes.values()}
-    preds = {id(p) for blk in back.blocks for p in blk.preds.values()}
+    hashes = {id(h) for blk in back.blocks for h in blk.hashes if h is not None}
+    preds = {id(p) for blk in back.blocks for p in blk.preds if p is not None}
     assert len(hashes) < pairs / 4
     assert len(preds) < pairs / 100
     assert back.to_bytes() == blob
@@ -511,8 +510,8 @@ def test_build_shares_equal_sets_as_load_does():
     text = make_random_text(4096, 1024, seed=3)
     ix = build(text, t=4, k=1)
     pairs = sum(len(blk.chars) for blk in ix.blocks)
-    hashes = {id(h) for blk in ix.blocks for h in blk.hashes.values()}
-    preds = {id(p) for blk in ix.blocks for p in blk.preds.values()}
+    hashes = {id(h) for blk in ix.blocks for h in blk.hashes if h is not None}
+    preds = {id(p) for blk in ix.blocks for p in blk.preds if p is not None}
     assert len(hashes) < pairs / 4
     assert len(preds) < pairs / 100
     blob = ix.to_bytes()
@@ -521,6 +520,26 @@ def test_build_shares_equal_sets_as_load_does():
     for kind, c, arg in make_workload(text, 300, seed=2):
         want = brute_select(occ, c, arg) if kind == "select" else brute_rank(occ, c, arg)
         assert getattr(ix, kind)(text, ProbeSession(), c, arg) == want
+
+
+def test_block_sets_are_per_symbol_tuples_none_where_absent():
+    # sigma=32, k=2: the heavy symbols' predecessor sets store payloads too.
+    text = _zipf_text(3000, 32, seed=14)
+    ix = build(text, t=2, k=2)
+    symbols = text.symbols()
+    for index in (ix, StringIndex.from_bytes(ix.to_bytes())):
+        shared = {}
+        for blk in index.blocks:
+            counts = Counter(symbols[blk.start:blk.start + blk.length])
+            for sets in (blk.hashes, blk.preds):
+                assert type(sets) is tuple and len(sets) == text.sigma
+                assert [c for c, s in enumerate(sets) if s is not None] == sorted(counts)
+                for c, m in counts.items():
+                    assert sets[c].m == m
+                    # Sets with equal payloads are one object.
+                    key = (type(sets[c]), m, sets[c]._payload)
+                    assert shared.setdefault(key, sets[c]) is sets[c]
+        assert len(shared) < sum(len(blk.chars) for blk in index.blocks)
 
 
 @pytest.mark.parametrize("target", [6, 7])

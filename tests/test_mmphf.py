@@ -112,6 +112,29 @@ def test_forged_standalone_header_is_corrupt(m, u):
         MonotoneHash.from_bytes(struct.pack("<QQ", m, u) + bytes(16))
 
 
+@pytest.mark.parametrize("keys, u", [
+    ([1, 4, 6, 7, 100, 1000, 4095], 4096),
+    ([5], 16),  # a one-key hash has no payload bytes at all
+])
+@pytest.mark.parametrize("tail", [b"\xff\xff", b"\x00"])
+def test_standalone_bytes_past_the_payload_are_corrupt(keys, u, tail):
+    blob = MonotoneHash(keys, u).to_bytes()
+    assert MonotoneHash.from_bytes(blob).to_bytes() == blob
+    with pytest.raises(CorruptIndexError, match="length mismatch"):
+        MonotoneHash.from_bytes(blob + tail)
+
+
+def test_standalone_padding_bits_are_corrupt():
+    h = MonotoneHash([1, 4, 6, 7, 100, 1000, 4095], 4096)
+    assert h.bits() % 8  # the last byte holds padding
+    blob = bytearray(h.to_bytes())
+    for bit in range(h.bits() % 8, 8):
+        padded = bytearray(blob)
+        padded[-1] |= 1 << bit
+        with pytest.raises(CorruptIndexError, match="padding"):
+            MonotoneHash.from_bytes(bytes(padded))
+
+
 def test_embedded_write_read_round_trip():
     keys = list(range(0, 300, 7))
     h = MonotoneHash(keys, 512)

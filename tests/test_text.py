@@ -18,7 +18,7 @@ def test_load_raw8_with_sigma():
     text = load(bytes([1, 0, 2, 1, 0, 0]), "raw8", 3)
     assert text.n == 6
     assert text.sigma == 3
-    assert text.symbols() == (1, 0, 2, 1, 0, 0)
+    assert tuple(text.symbols()) == (1, 0, 2, 1, 0, 0)
 
 
 def test_load_sigma_clamped_to_two():
@@ -52,7 +52,7 @@ def test_load_rejects_sigma_exceeding_length():
 def test_load_u32le():
     payload = struct.pack("<4I", 3, 0, 1, 2)
     text = load(payload, "u32le")
-    assert text.symbols() == (3, 0, 1, 2)
+    assert tuple(text.symbols()) == (3, 0, 1, 2)
     assert text.sigma == 4
 
 
@@ -63,7 +63,7 @@ def test_load_u32le_bad_length():
 
 def test_load_tokens():
     text = load(b" 1 0 2\n1\t0 0 ", "tokens", 3)
-    assert text.symbols() == (1, 0, 2, 1, 0, 0)
+    assert tuple(text.symbols()) == (1, 0, 2, 1, 0, 0)
 
 
 def test_load_tokens_errors():
@@ -149,3 +149,42 @@ def test_constructor_validates():
         ProbedText([0, 1, -1, 5], 3)
     with pytest.raises(EmptyTextError):
         ProbedText([], 2)
+
+
+def test_symbols_is_a_read_only_view_equal_to_the_input():
+    symbols = [1, 0, 2, 1, 0, 0]
+    text = ProbedText(symbols, 3)
+    view = text.symbols()
+    assert list(view) == symbols
+    with pytest.raises(TypeError):
+        view[0] = 2
+    symbols[0] = 2  # the text keeps its own copy
+    assert tuple(text.symbols()) == (1, 0, 2, 1, 0, 0)
+    assert text.access(ProbeSession(), 0) == 1
+
+
+_BOUNDARIES = [(256, "B"), (257, "H"), (65536, "H"), (65537, "I")]
+
+
+@pytest.mark.parametrize("sigma, code", _BOUNDARIES)
+def test_payload_is_the_narrowest_array_that_holds_the_alphabet(sigma, code):
+    symbols = list(range(sigma))[::-1]
+    text = ProbedText(symbols, sigma)
+    view = text.symbols()
+    assert view.format == code
+    assert list(view) == symbols
+    sess = ProbeSession()
+    assert text.access(sess, 0) == sigma - 1
+    assert sess.count == 1
+
+
+@pytest.mark.parametrize("sigma", [sigma for sigma, _ in _BOUNDARIES])
+@pytest.mark.parametrize("above", [True, False], ids=["above", "negative"])
+def test_bad_symbol_is_named_before_packing(sigma, above):
+    # Named by position, even where the payload's typecode cannot hold it.
+    symbols = list(range(sigma))
+    value = sigma if above else -1
+    symbols[5] = value
+    with pytest.raises(MalformedInputError,
+                       match=rf"symbol {value} at position 5 outside alphabet \[0, {sigma}\)"):
+        ProbedText(symbols, sigma)
