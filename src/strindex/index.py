@@ -5,9 +5,10 @@ be shorter).  Per block: a unary bitstring Z = 1^{n_0} 0 1^{n_1} 0 ... encodes
 symbol multiplicities; a monotone hash per present symbol ranks in-block
 occurrences; shortcut tables invert the block's stable-sort permutation; a
 predecessor structure per present symbol counts occurrences below a position.
-Across blocks, one unary bitvector per symbol records its count in each block;
-it is stored and checked on load, and queries route through an in-memory
-table of the same counts as prefix sums.
+Across blocks, queries route through an in-memory table of each symbol's
+per-block counts as prefix sums, which build and load derive from Z.  The
+file stores each of these facts once, in four sections, and ends in a CRC32
+of every byte before it.
 
 select walks: block via a binary search of that table (probe-free), then one
 permutation inversion (<= 2t+1 probes).  rank reads its block's entry of the
@@ -20,6 +21,7 @@ permutation shortcuts.
 from __future__ import annotations
 
 import struct
+import zlib
 from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
@@ -39,17 +41,17 @@ from .perm import ShortcutTable, eval_budget
 from .pred import DIRECT_LIMIT, PredIndex, budget as scall_budget
 
 MAGIC = b"SSIX"
-VERSION = 1
+VERSION = 2
 
-_TAG_CROSS = 1
 _TAG_Z = 2
 _TAG_MMPHF = 3
 _TAG_PRED = 4
 _TAG_SHORT = 5
-_TAGS = (_TAG_CROSS, _TAG_Z, _TAG_MMPHF, _TAG_PRED, _TAG_SHORT)
+_TAGS = (_TAG_Z, _TAG_MMPHF, _TAG_PRED, _TAG_SHORT)
 
 _HEADER = struct.Struct("<4sBQIIIQI")
 _TABLE_ENTRY = struct.Struct("<IQQ")
+_CRC = struct.Struct("<I")  # zlib.crc32 of every byte before it
 
 
 def select_budget(t):
@@ -70,15 +72,13 @@ def max_k(sigma):
 class _Block:
     """Per-block structures; positions are block-local."""
 
-    __slots__ = ("start", "length", "z", "base", "chars", "hashes", "preds",
-                 "shortcuts")
+    __slots__ = ("start", "length", "z", "base", "hashes", "preds", "shortcuts")
 
-    def __init__(self, start, length, z, base, chars, hashes, preds, shortcuts):
+    def __init__(self, start, length, z, base, hashes, preds, shortcuts):
         self.start = start
         self.length = length
         self.z = z
         self.base = base  # base[c]: occurrences of symbols < c in the block
-        self.chars = chars  # symbols with n_c >= 1, ascending
         # hashes[c], preds[c]: c's sets, for every c < sigma; None where n_c = 0.
         self.hashes = hashes
         self.preds = preds
@@ -94,7 +94,7 @@ class SpaceReport:
     t: int
     k: int
     z_bits: int
-    cross_bits: int
+    cross_bits: int  # 0 since format v2, which stores no cross section
     mmphf_bits: int
     pred_bits: int
     shortcut_bits: int
@@ -119,16 +119,15 @@ class SpaceReport:
 class StringIndex:
     """Systematic rank/select index; stores counts, never symbols."""
 
-    __slots__ = ("n", "sigma", "t", "k", "fingerprint", "cross", "before",
-                 "blocks", "_sel_budget", "_rnk_budget", "_paired")
+    __slots__ = ("n", "sigma", "t", "k", "fingerprint", "before", "blocks",
+                 "_sel_budget", "_rnk_budget", "_paired")
 
-    def __init__(self, n, sigma, t, k, fingerprint, cross, before, blocks):
+    def __init__(self, n, sigma, t, k, fingerprint, before, blocks):
         self.n = n
         self.sigma = sigma
         self.t = t
         self.k = k
         self.fingerprint = fingerprint
-        self.cross = cross
         # before[c * (nblocks + 1) + b]: occurrences of c in blocks < b; the
         # row's last entry is count(c).
         self.before = before
@@ -186,13 +185,12 @@ class StringIndex:
                 for r, i in enumerate(occ[c], base[c]):
                     pi[i] = r
             blocks.append(_Block(
-                start, length, unary_bitvector(counts), base, chars, tuple(hashes),
+                start, length, unary_bitvector(counts), base, tuple(hashes),
                 tuple(preds), ShortcutTable(pi.__getitem__, length, t),
             ))
             block_counts.append(counts)
-        cross = [unary_bitvector(column) for column in zip(*block_counts)]
-        return cls(n, sigma, t, k, text.fingerprint, cross,
-                   _routing_table(block_counts, cross), blocks)
+        return cls(n, sigma, t, k, text.fingerprint, _routing_table(block_counts),
+                   blocks)
 
     # -- queries ---------------------------------------------------------------
 
@@ -252,9 +250,9 @@ class StringIndex:
         before = session.count
         b, p_local = divmod(p, self.sigma)
         # b == nblocks only when p == n on a block seam: the row's last entry.
-        cross_before = self.before[c * (len(self.blocks) + 1) + b]
+        prior = self.before[c * (len(self.blocks) + 1) + b]
         if p_local == 0:
-            return cross_before
+            return prior
         blk = self.blocks[b]
         in_block = 0
         pred = blk.preds[c]
@@ -270,7 +268,7 @@ class StringIndex:
                                               blk.base, blk.hashes)
 
                 in_block = pred.rank(p_local, fetch)
-        answer = cross_before + in_block
+        answer = prior + in_block
         if session.count - before > self._rnk_budget:
             raise ProbeBudgetError(
                 f"rank used {session.count - before} probes; "
@@ -282,7 +280,6 @@ class StringIndex:
 
     def space_report(self):
         z_bits = sum(blk.z.nbits for blk in self.blocks)
-        cross_bits = sum(v.nbits for v in self.cross)
         mmphf_bits = sum(h.bits() for blk in self.blocks
                          for h in blk.hashes if h is not None)
         pred_bits = sum(p.bits() for blk in self.blocks
@@ -291,13 +288,12 @@ class StringIndex:
         target_bits = sum(blk.shortcuts.target_bits() for blk in self.blocks)
         directory_bits = (
             sum(blk.z.directory_bits for blk in self.blocks)
-            + sum(v.directory_bits for v in self.cross)
             + sum(blk.shortcuts.marked.directory_bits for blk in self.blocks)
             + sum(8 * blk.base.itemsize * len(blk.base) for blk in self.blocks)
             + 8 * self.before.itemsize * len(self.before)
         )
         total_bits = 8 * len(self.to_bytes())
-        component = z_bits + cross_bits + mmphf_bits + pred_bits + shortcut_bits
+        component = z_bits + mmphf_bits + pred_bits + shortcut_bits
         if component > total_bits:
             raise AssertionError("component bits exceed serialized size")
         return SpaceReport(
@@ -306,7 +302,7 @@ class StringIndex:
             t=self.t,
             k=self.k,
             z_bits=z_bits,
-            cross_bits=cross_bits,
+            cross_bits=0,
             mmphf_bits=mmphf_bits,
             pred_bits=pred_bits,
             shortcut_bits=shortcut_bits,
@@ -320,10 +316,9 @@ class StringIndex:
 
     def to_bytes(self):
         sections = {
-            _TAG_CROSS: self._write_cross(),
             _TAG_Z: self._write_z(),
-            _TAG_MMPHF: self._write_mmphf(),
-            _TAG_PRED: self._write_pred(),
+            _TAG_MMPHF: self._write_sets("hashes"),
+            _TAG_PRED: self._write_sets("preds"),
             _TAG_SHORT: self._write_short(),
         }
         header = _HEADER.pack(
@@ -338,13 +333,8 @@ class StringIndex:
             table += _TABLE_ENTRY.pack(tag, offset, len(payload))
             body += payload
             offset += len(payload)
-        return header + bytes(table) + bytes(body)
-
-    def _write_cross(self):
-        bw = BitWriter()
-        for v in self.cross:
-            bw.write_bv(v)
-        return bw.getvalue()
+        blob = header + bytes(table) + bytes(body)
+        return blob + _CRC.pack(zlib.crc32(blob))
 
     def _write_z(self):
         bw = BitWriter()
@@ -352,18 +342,14 @@ class StringIndex:
             bw.write_bv(blk.z)
         return bw.getvalue()
 
-    def _write_mmphf(self):
+    def _write_sets(self, attr):
+        """The hash ("hashes") or predecessor ("preds") section: each block's
+        sets in symbol order."""
         bw = BitWriter()
         for blk in self.blocks:
-            for c in blk.chars:
-                blk.hashes[c].write(bw)
-        return bw.getvalue()
-
-    def _write_pred(self):
-        bw = BitWriter()
-        for blk in self.blocks:
-            for c in blk.chars:
-                blk.preds[c].write(bw)
+            for s in getattr(blk, attr):
+                if s is not None:
+                    s.write(bw)
         return bw.getvalue()
 
     def _write_short(self):
@@ -388,15 +374,15 @@ class StringIndex:
                 f"bad header: n={n} sigma={sigma} t={t} k={k} needs "
                 f"2 <= sigma <= n, t >= 1 and 1 <= k <= {max_k(sigma)}"
             )
-        table_end = _HEADER.size + nsections * _TABLE_ENTRY.size
-        if len(data) < table_end:
+        end = len(data) - _CRC.size  # where the sections must end
+        if end < _HEADER.size + nsections * _TABLE_ENTRY.size:
             raise CorruptIndexError("section table truncated")
         sections = {}
         for i in range(nsections):
             tag, off, length = _TABLE_ENTRY.unpack_from(
                 data, _HEADER.size + i * _TABLE_ENTRY.size
             )
-            if off + length > len(data):
+            if off + length > end:
                 raise CorruptIndexError(f"section {tag} overruns the file")
             sections[tag] = data[off:off + length]
         for tag in _TAGS:
@@ -411,19 +397,9 @@ class StringIndex:
 
         br = BitReader(sections[_TAG_Z])
         zs = [br.read_bv(length + sigma) for length in lengths]
+        _finish_section(br, sections[_TAG_Z])
         counts = [unary_counts(z, sigma) for z in zs]
         charsets = [[c for c in range(sigma) if cnt[c]] for cnt in counts]
-
-        # Cross vector c is 1^{count_0[c]} 0 1^{count_1[c]} 0 ..., so Z fixes
-        # its length and its runs.
-        br = BitReader(sections[_TAG_CROSS])
-        cross = []
-        for c, column in enumerate(zip(*counts)):
-            v = br.read_bv(nblocks + sum(column))
-            if unary_counts(v, nblocks) != list(column):
-                raise CorruptIndexError(f"cross vector of symbol {c} disagrees with Z")
-            cross.append(v)
-        _finish_section(br, sections[_TAG_CROSS])
 
         hashes_per_block = _read_sets(sections[_TAG_MMPHF], counts, charsets,
                                       MonotoneHash, sigma)
@@ -434,16 +410,18 @@ class StringIndex:
         shortcuts = [ShortcutTable.read(br, lengths[b], t) for b in range(nblocks)]
         _finish_section(br, sections[_TAG_SHORT])
 
+        # Checked last, so that each structural check above names its fault.
+        if zlib.crc32(data[:end]) != _CRC.unpack_from(data, end)[0]:
+            raise CorruptIndexError("index checksum mismatch")
         base_row = _row(sigma, sigma)
         blocks = [
             _Block(
                 b * sigma, lengths[b], zs[b], _prefix_counts(counts[b], base_row),
-                charsets[b], hashes_per_block[b], preds_per_block[b], shortcuts[b],
+                hashes_per_block[b], preds_per_block[b], shortcuts[b],
             )
             for b in range(nblocks)
         ]
-        return cls(n, sigma, t, k, fingerprint, cross, _routing_table(counts, cross),
-                   blocks)
+        return cls(n, sigma, t, k, fingerprint, _routing_table(counts), blocks)
 
 
 def _row(largest, length):
@@ -461,10 +439,10 @@ def _prefix_counts(counts, row):
     return array(row.format[-1], row.pack(*accumulate(counts[:-1], initial=0)))
 
 
-def _routing_table(block_counts, cross):
+def _routing_table(block_counts):
     """Row c: prefix sums over blocks of block_counts[b][c], 0 up to
-    count(c) = cross[c].ones, all rows in one flat array."""
-    row = _row(max(v.ones for v in cross), len(block_counts) + 1)
+    count(c), all rows in one flat array."""
+    row = _row(max(map(sum, zip(*block_counts))), len(block_counts) + 1)
     table = array(row.format[-1])
     for column in zip(*block_counts):
         table.frombytes(row.pack(*accumulate(column, initial=0)))
@@ -509,9 +487,13 @@ def _read_sets(section, counts, charsets, cls, *params):
 
 
 def _finish_section(br, payload):
+    """Raise unless the parsed content ends in the section's last byte and
+    the padding bits after it are zero, so that one index has one file."""
     consumed = br.bits_consumed
     if (consumed + 7) // 8 != len(payload):
         raise CorruptIndexError("section length disagrees with parsed content")
+    if consumed % 8 and payload[-1] >> consumed % 8:
+        raise CorruptIndexError("section padding bits are not zero")
 
 
 def build(text, t, k=1):

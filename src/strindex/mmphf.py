@@ -8,8 +8,8 @@ each bucket of at most beta keys stores just enough branching structure to
 tell its members apart:
 
   * one key      - nothing at all (rank offset is 0);
-  * two keys     - the highest bit position where they differ, plus the
-                   smaller key's bit there;
+  * two keys     - the highest bit position where they differ (the smaller
+                   key holds the 0 there, so its bit is not stored);
   * three+ keys  - a compacted binary trie over the keys, recorded as a
                    preorder shape bitstream with per-node skip lengths; a
                    member's offset is the leaf reached by descending on its
@@ -44,16 +44,16 @@ STANDALONE_HEADER_BITS = 128  # u64 m + u64 u
 _LEAF = ((), (), ())
 
 
-def trie_bits(nleaves, sw, rw=0):
+def trie_bits(nleaves, sw):
     """Size of the encode_trie payload of nleaves keys: nleaves - 1 nodes."""
-    return (2 * nleaves - 1) + (nleaves - 1) * (sw + 2 * rw)
+    return (2 * nleaves - 1) + (nleaves - 1) * sw
 
 
 def _bucket_bits(size, sw):
     if size <= 1:
         return 0
     if size == 2:
-        return sw + 1
+        return sw
     return trie_bits(size, sw)
 
 
@@ -68,16 +68,14 @@ def require_increasing_below(keys, u, what):
         raise MalformedInputError(f"{what} must be strictly increasing in [0, {u})")
 
 
-def encode_trie(keys, w, sw, rw=0):
-    """The payload int that decode_trie(payload, len(keys), w, sw, rw) parses.
+def encode_trie(keys, w, sw):
+    """The payload int that decode_trie(payload, len(keys), w, sw) parses.
 
     `keys` are strictly increasing w-bit keys.  A leaf is a 0 bit; an
-    internal node is a 1 bit, its skip in sw bits and, when rw > 0, its
-    subtree's first and last leaf rank in rw bits each, in preorder with
-    the first field in the lowest bits; trie_bits(len(keys), sw, rw) bits.
+    internal node is a 1 bit and its skip in sw bits, in preorder with the
+    first field in the lowest bits; trie_bits(len(keys), sw) bits.
     """
     payload = pos = 0
-    node_bits = 1 + sw + 2 * rw
     todo = [(0, len(keys), 0)]  # (lo, hi, depth) of subtrees, next on top
     while todo:
         lo, hi, depth = todo.pop()
@@ -85,11 +83,8 @@ def encode_trie(keys, w, sw, rw=0):
             pos += 1
             continue
         d = w - (keys[lo] ^ keys[hi - 1]).bit_length()
-        node = 1 | (d - depth) << 1
-        if rw:
-            node |= (lo | (hi - 1) << rw) << (1 + sw)
-        payload |= node << pos
-        pos += node_bits
+        payload |= (1 | (d - depth) << 1) << pos
+        pos += 1 + sw
         # Keys share all bits above d; the right subtree holds those with a 1.
         shift = w - 1 - d
         split = bisect_left(keys, keys[hi - 1] >> shift << shift, lo + 1, hi)
@@ -98,20 +93,19 @@ def encode_trie(keys, w, sw, rw=0):
     return payload
 
 
-def decode_trie(payload, nleaves, w, sw, rw=0):
+def decode_trie(payload, nleaves, w, sw):
     """Parse a preorder shape-and-skip trie from the bits of the int `payload`.
 
-    This is the layout of a hash bucket and, with rw > 0, of pred.BlindTrie:
-    a leaf is a 0 bit; an internal node is a 1 bit, its skip in sw bits and,
-    when rw > 0, its subtree's first and last leaf rank in rw bits each.  Returns
-    (branch, left, right, minleaf, maxleaf).  Raises CorruptIndexError
-    unless every branch depth is < w, every stored leaf range is the one the
-    shape implies, and there are exactly nleaves leaves, so that the trie is
-    exactly trie_bits(nleaves, sw, rw) bits long.  encode_trie is its inverse.
+    This is the layout of a hash bucket and of pred.BlindTrie: a leaf is a
+    0 bit; an internal node is a 1 bit and its skip in sw bits.  Returns
+    (branch, left, right, minleaf, maxleaf), where each node's first and
+    last leaf rank follow from the shape.  Raises CorruptIndexError unless
+    every branch depth is < w and there are exactly nleaves leaves, so that
+    the trie is exactly trie_bits(nleaves, sw) bits long.  encode_trie is
+    its inverse.
     """
-    branch, left, right, minleaf, ranges = [], [], [], [], []
+    branch, left, right, minleaf = [], [], [], []
     skip_mask = (1 << sw) - 1
-    rank_mask = (1 << rw) - 1
     pos = leaves = 0
     # (children list, node, depth) of each child still to parse, next on
     # top; a loop, not a recursive closure, so that no cycle is left behind.
@@ -125,10 +119,7 @@ def decode_trie(payload, nleaves, w, sw, rw=0):
             d = depth + ((payload >> pos) & skip_mask)
             if d >= w or child == nleaves - 1:
                 raise CorruptIndexError("trie node past the key width or the leaf count")
-            if rw:
-                ranges.append(((payload >> (pos + sw)) & rank_mask,
-                               (payload >> (pos + sw + rw)) & rank_mask))
-            pos += sw + 2 * rw
+            pos += sw
             branch.append(d)
             left.append(0)
             right.append(0)
@@ -147,19 +138,15 @@ def decode_trie(payload, nleaves, w, sw, rw=0):
     for node in reversed(range(len(branch))):
         r = right[node]
         maxleaf[node] = maxleaf[r] if r >= 0 else ~r
-    if rw and ranges != list(zip(minleaf, maxleaf)):
-        raise CorruptIndexError("trie leaf range disagrees with its shape")
     return branch, left, right, minleaf, maxleaf
 
 
 def _bucket(field, size, w, sw):
     """The (shift, left, right) flat trie of a bucket of size >= 2 keys."""
-    if size == 2:
-        # encode() writes the smaller key's bit, which is always 0.
-        d = field & ((1 << sw) - 1)
-        if d >= w or field >> sw:
+    if size == 2:  # the field is the branch depth
+        if field >= w:
             raise CorruptIndexError("pair bucket the encoder cannot produce")
-        return (w - 1 - d,), (~0,), (~1,)
+        return (w - 1 - field,), (~0,), (~1,)
     branch, left, right, _, _ = decode_trie(field, size, w, sw)
     return tuple(w - 1 - d for d in branch), tuple(left), tuple(right)
 
@@ -182,8 +169,8 @@ class MonotoneHash:
         """The payload write() emits for the strictly increasing keys over [u].
 
         Samples come first, w bits each, then each bucket in turn: nothing
-        for one key, the branch depth in sw bits and a 0 bit for two, and
-        encode_trie for more.  `widths` is widths(u), for a caller that
+        for one key, the branch depth in sw bits for two, and encode_trie for
+        more.  `widths` is widths(u), for a caller that
         encodes many sets over one u.
         """
         if u < 1:
@@ -199,7 +186,6 @@ class MonotoneHash:
             bkeys = keys[lo:lo + w]
             size = len(bkeys)
             if size == 2:
-                # The smaller key holds the 0 at the first differing bit.
                 payload |= (w - (bkeys[0] ^ bkeys[1]).bit_length()) << pos
             elif size > 2:
                 payload |= encode_trie(bkeys, w, sw) << pos
@@ -237,7 +223,7 @@ class MonotoneHash:
     def payload_bits(m, u):
         """Payload size of every hash of m keys over [u]; what write() emits.
 
-        Samples take (ceil(m / beta) - 1) * w bits; a pair bucket takes sw + 1;
+        Samples take (ceil(m / beta) - 1) * w bits; a pair bucket takes sw;
         a trie over s keys has s - 1 internal nodes, so (2s - 1) + (s - 1) * sw.
         """
         w, sw = MonotoneHash.widths(u)

@@ -13,7 +13,7 @@ Layout for m = |T| members over universe [sigma]:
     top array that is binary searched for free; inside the resulting bucket
     every k-th member is sampled.  Buckets with at most two samples keep
     them verbatim; larger ones use a blind Patricia trie that stores only
-    skip lengths and subtree leaf ranges, never keys.  The trie descends on
+    its shape and skip lengths, never keys.  The trie descends on
     the query's own bits, fetches the single reached key to learn the true
     divergence depth, and re-reads the recorded path - one S call in all.
     A final binary search over the at most k-1 members between neighbouring
@@ -50,24 +50,20 @@ def budget(k):
     return 3 + max(0, (k - 1).bit_length())
 
 
-def _rank_width(g, k):
-    """Bits of a leaf rank in a bucket trie: at most ceil(g / k) samples."""
-    return max(1, ((g + k - 1) // k).bit_length())
-
-
-def _bucket_bits(size, k, w, sw, rw):
+def _bucket_bits(size, k, w, sw):
     """Payload of a bucket of `size` members: samples past the first, or a trie."""
     nsamp = (size + k - 1) // k
     if nsamp <= 2:
         return (nsamp - 1) * w  # sample 0 is already in top
-    return trie_bits(nsamp, sw, rw)
+    return trie_bits(nsamp, sw)
 
 
 class BlindTrie:
     """Compacted binary trie over w-bit keys storing no key material.
 
-    Internal nodes carry their branching bit depth and the leaf-rank range of
-    their subtree; leaves are implicit in-order ranks 0, 1, 2, ...
+    Internal nodes carry their branching bit depth; leaves are implicit
+    in-order ranks 0, 1, 2, ..., so the shape gives each subtree's leaf-rank
+    range.
     """
 
     __slots__ = ("nleaves", "w", "root", "branch", "left", "right", "minleaf", "maxleaf")
@@ -76,15 +72,15 @@ class BlindTrie:
         keys = list(keys)
         if len(keys) < 1:
             raise MalformedInputError("blind trie needs at least one key")
-        sw, rw = width(w), width(len(keys))
-        self._decode(encode_trie(keys, w, sw, rw), len(keys), w, sw, rw)
+        sw = width(w)
+        self._decode(encode_trie(keys, w, sw), len(keys), w, sw)
 
-    def _decode(self, payload, nleaves, w, sw, rw):
+    def _decode(self, payload, nleaves, w, sw):
         """Fill self from an encode_trie payload; see mmphf.decode_trie."""
         self.nleaves = nleaves
         self.w = w
         (self.branch, self.left, self.right, self.minleaf,
-         self.maxleaf) = decode_trie(payload, nleaves, w, sw, rw)
+         self.maxleaf) = decode_trie(payload, nleaves, w, sw)
         self.root = 0 if self.branch else ~0
         return self
 
@@ -94,7 +90,7 @@ class BlindTrie:
         Blind two-pass search: descend on p's branching bits, fetch the key
         of the reached leaf, locate the true divergence depth, then pick the
         subtree straddling that depth.  All keys below it compare to p the
-        same way, so its stored leaf range settles the answer.
+        same way, so its leaf range settles the answer.
         """
         w = self.w
         branch, left, right = self.branch, self.left, self.right
@@ -156,7 +152,7 @@ class PredIndex:
         m = len(members)
         if m <= DIRECT_LIMIT:
             return 0
-        w, sw, rw = widths or PredIndex.widths(sigma, k)
+        w, sw = widths or PredIndex.widths(sigma, k)
         payload = pos = 0
         for key in members[::w]:
             payload |= key << pos
@@ -168,8 +164,8 @@ class PredIndex:
                     payload |= key << pos
                     pos += w
             else:
-                payload |= encode_trie(sampled, w, sw, rw) << pos
-                pos += trie_bits(len(sampled), sw, rw)
+                payload |= encode_trie(sampled, w, sw) << pos
+                pos += trie_bits(len(sampled), sw)
         return payload
 
     def rank(self, p, fetch):
@@ -227,9 +223,10 @@ class PredIndex:
 
     @staticmethod
     def widths(sigma, k):
-        """(w, sw, rw): key and top-sampling width, trie skip and leaf-rank widths."""
+        """(w, sw): the key and top-sampling width, and the trie skip width;
+        the same for every k."""
         w = width(sigma)
-        return w, width(w), _rank_width(w, k)
+        return w, width(w)
 
     @staticmethod
     def payload_bits(m, sigma, k):
@@ -237,14 +234,14 @@ class PredIndex:
 
         EMPTY_PRED_BITS up to DIRECT_LIMIT; otherwise one w-bit top key per
         bucket of g = w members, plus each bucket's samples past the first or
-        its trie, whose L leaves take (2L - 1) + (L - 1) * (sw + 2 * rw) bits.
+        its trie, whose L leaves take (2L - 1) + (L - 1) * sw bits.
         """
         if m <= DIRECT_LIMIT:
             return EMPTY_PRED_BITS
-        w, sw, rw = PredIndex.widths(sigma, k)
+        w, sw = PredIndex.widths(sigma, k)
         full, rest = divmod(m, w)
-        total = full * (w + _bucket_bits(w, k, w, sw, rw))
-        return total + (w + _bucket_bits(rest, k, w, sw, rw) if rest else 0)
+        total = full * (w + _bucket_bits(w, k, w, sw))
+        return total + (w + _bucket_bits(rest, k, w, sw) if rest else 0)
 
     def bits(self):
         """Exact payload size in bits; EMPTY_PRED_BITS when nothing is stored."""
@@ -289,7 +286,7 @@ class PredIndex:
         self.m = m
         self.sigma = sigma
         self.k = k
-        w, sw, rw = widths or self.widths(sigma, k)
+        w, sw = widths or self.widths(sigma, k)
         self.g = self._w = w
         self._budget = budget(k)
         self._top = self._buckets = None
@@ -305,7 +302,7 @@ class PredIndex:
         for j, base in enumerate(range(0, m, w)):
             size = min(w, m - base)
             nsamp = (size + k - 1) // k
-            nbits = _bucket_bits(size, k, w, sw, rw)
+            nbits = _bucket_bits(size, k, w, sw)
             field = (payload >> pos) & ((1 << nbits) - 1)
             pos += nbits
             if nsamp <= 2:
@@ -317,7 +314,7 @@ class PredIndex:
                 trie = memo.get(key)
                 if trie is None:
                     trie = memo[key] = object.__new__(BlindTrie)._decode(
-                        field, nsamp, w, sw, rw
+                        field, nsamp, w, sw
                     )
                 buckets.append((_TRIE, trie))
                 stored.append(top[j])

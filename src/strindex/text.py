@@ -56,7 +56,10 @@ class ProbedText:
             raise SigmaExceedsLengthError(
                 f"sigma {sigma} exceeds text length {len(payload)}"
             )
-        self._payload = array(typecode(sigma - 1), payload)
+        try:
+            self._payload = array(typecode(sigma - 1), payload)
+        except TypeError as err:
+            raise MalformedInputError(f"symbols must be integers: {err}") from None
         self._n = len(payload)
         self._sigma = sigma
         self._fingerprint = None

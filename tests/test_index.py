@@ -1,6 +1,8 @@
 import gc
 import hashlib
 import random
+import struct
+import zlib
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -30,7 +32,6 @@ from strindex.bits import BitReader, typecode, unary_counts, width
 from strindex.index import (
     _HEADER,
     _TABLE_ENTRY,
-    _TAG_CROSS,
     _TAG_MMPHF,
     _TAG_PRED,
     _TAG_SHORT,
@@ -55,10 +56,8 @@ def test_single_block_cross_vectors():
     text = ProbedText([2, 0, 1, 2], 4)  # n == sigma: one block
     ix = build(text, t=1)
     assert len(ix.blocks) == 1
-    assert bits_of(ix.cross[0]) == "10"
-    assert bits_of(ix.cross[1]) == "10"
-    assert bits_of(ix.cross[2]) == "110"
-    assert bits_of(ix.cross[3]) == "0"
+    # Row c of the routing table: c's occurrences before block 0, then count(c).
+    assert list(ix.before) == [0, 1, 0, 1, 0, 2, 0, 0]
 
 
 def test_absent_character_short_circuits():
@@ -258,6 +257,7 @@ def _patch_header(blob, **fields):
 
 
 @pytest.mark.parametrize("fields", [
+    {"version": 1},  # v1 files must be rebuilt
     {"sigma": 0},
     {"sigma": 1},
     {"sigma": 101},  # sigma > n
@@ -283,13 +283,13 @@ def _section(blob, tag):
     raise KeyError(tag)
 
 
-@pytest.mark.parametrize("tag", [_TAG_Z, _TAG_CROSS], ids=["z", "cross"])
+@pytest.mark.parametrize("tag", [_TAG_Z], ids=["z"])
 @pytest.mark.parametrize("where", [0.0, 0.37, 1.0])
 def test_unary_payload_bit_flip_is_corrupt(tag, where):
     text = make_random_text(100, 8, seed=1)
     ix = build(text, t=2)
     blob = bytearray(ix.to_bytes())
-    # Both sections hold n ones and sigma zeros per block; flip one of them.
+    # The section holds n ones and sigma zeros per block; flip one of them.
     bit = round(where * (text.n + len(ix.blocks) * text.sigma - 1))
     blob[_section(blob, tag)[0] + bit // 8] ^= 1 << (bit % 8)
     with pytest.raises(CorruptIndexError):
@@ -307,9 +307,9 @@ def _zipf_text(n, sigma, seed):
 
 @pytest.mark.parametrize("text, t, k, sha256", [
     (make_random_text(3000, 64, seed=11), 4, 2,
-     "0beb39c392684c2a9eaebd4a43b4f62852a391c83cdb17431e9284fb1d941a49"),
+     "773e1a22e01908f5376c664e2a98168da944b65ec71474e81237d985f931db34"),
     (_zipf_text(3000, 16, seed=12), 2, 2,
-     "a36f0c7ccb51418d374444bcf1af7c3d69611e02945124be5cbebe2c1ca7051c"),
+     "c07674a4994904a6b269a92b6cfd5a5bbee7c58805a018bde0ec7dc774446d0c"),
 ], ids=["uniform", "zipf"])
 def test_index_bytes_are_pinned(text, t, k, sha256):
     ix = build(text, t, k)
@@ -378,10 +378,9 @@ def test_space_report_components_sum():
     assert rep.shortcut_target_bits <= rep.shortcut_bits
     # unary scaffolding sizes are fully determined by (n, sigma, #blocks)
     nblocks = len(ix.blocks)
-    assert rep.cross_bits == text.n + text.sigma * nblocks
+    assert rep.cross_bits == 0  # the file has no cross section
     assert rep.z_bits == text.n + text.sigma * nblocks
-    assert sum(v.ones for v in ix.cross) == text.n
-    vector_dirs = sum(v.directory_bits for v in ix.cross) + sum(
+    vector_dirs = sum(
         blk.z.directory_bits + blk.shortcuts.marked.directory_bits for blk in ix.blocks
     )
     base_bits = 8 * ix.blocks[0].base.itemsize * text.sigma * nblocks
@@ -417,7 +416,7 @@ def test_routing_matches_reference_at_edges(text, t):
     for ix in (built, StringIndex.from_bytes(built.to_bytes())):
         for c in range(sigma):
             row = ix.before[c * (nblocks + 1):(c + 1) * (nblocks + 1)]
-            counts = unary_counts(ix.cross[c], nblocks)
+            counts = [unary_counts(blk.z, sigma)[c] for blk in ix.blocks]
             assert list(row) == list(accumulate(counts, initial=0))
             total = ref.count(c)
             for j in {1, max(1, total), total + 1}:
@@ -470,7 +469,7 @@ def test_rank_at_exact_text_end_multiple_of_sigma():
 def test_load_reads_each_set_once_and_shares_equal_ones(monkeypatch):
     ix = build(make_random_text(4096, 1024, seed=3), t=4, k=1)
     blob = ix.to_bytes()
-    pairs = sum(len(blk.chars) for blk in ix.blocks)
+    pairs = sum(h is not None for blk in ix.blocks for h in blk.hashes)
     reads = Counter()
     read = BitReader.read
 
@@ -509,7 +508,7 @@ def test_hash_and_pred_section_of_the_wrong_length_is_corrupt(tag, delta, match)
 def test_build_shares_equal_sets_as_load_does():
     text = make_random_text(4096, 1024, seed=3)
     ix = build(text, t=4, k=1)
-    pairs = sum(len(blk.chars) for blk in ix.blocks)
+    pairs = sum(h is not None for blk in ix.blocks for h in blk.hashes)
     hashes = {id(h) for blk in ix.blocks for h in blk.hashes if h is not None}
     preds = {id(p) for blk in ix.blocks for p in blk.preds if p is not None}
     assert len(hashes) < pairs / 4
@@ -539,7 +538,7 @@ def test_block_sets_are_per_symbol_tuples_none_where_absent():
                     # Sets with equal payloads are one object.
                     key = (type(sets[c]), m, sets[c]._payload)
                     assert shared.setdefault(key, sets[c]) is sets[c]
-        assert len(shared) < sum(len(blk.chars) for blk in index.blocks)
+        assert len(shared) < sum(h is not None for blk in index.blocks for h in blk.hashes)
 
 
 @pytest.mark.parametrize("target", [6, 7])
@@ -611,3 +610,37 @@ def test_hash_and_pred_bit_flips_fail_cleanly(tag):
         except StrindexError:
             pass
     assert loaded < 8 * length
+
+
+def _small_v2_file():
+    # sigma=32, k=2: some predecessor buckets keep 3 samples in a trie, and
+    # every section ends in a partly used byte.
+    return build(_zipf_text(300, 32, seed=5), t=2, k=2)
+
+
+def test_every_bit_flip_and_truncation_is_corrupt():
+    blob = _small_v2_file().to_bytes()
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        with pytest.raises(CorruptIndexError):
+            StringIndex.from_bytes(bytes(flipped))
+    for size in range(len(blob)):
+        with pytest.raises(CorruptIndexError):
+            StringIndex.from_bytes(blob[:size])
+
+
+@pytest.mark.parametrize("tag", _TAGS, ids=["z", "mmphf", "pred", "short"])
+def test_set_padding_bits_are_corrupt(tag):
+    ix = _small_v2_file()
+    rep = ix.space_report()
+    nbits = {_TAG_Z: rep.z_bits, _TAG_MMPHF: rep.mmphf_bits,
+             _TAG_PRED: rep.pred_bits, _TAG_SHORT: rep.shortcut_bits}[tag]
+    assert nbits % 8  # the section's last byte holds padding
+    blob = bytearray(ix.to_bytes())
+    off, length = _section(blob, tag)
+    blob[off + length - 1] |= 0x80
+    # A valid checksum, so that only the padding check can reject the file.
+    blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
+    with pytest.raises(CorruptIndexError, match="padding"):
+        StringIndex.from_bytes(bytes(blob))

@@ -279,27 +279,26 @@ def test_decode_trie_inverts_encode_trie(data):
                                     max_size=40)))
     s = len(keys)
     sw = width(w)
-    rw = data.draw(st.sampled_from([0, width(s), width(s) + 2]))
-    payload = encode_trie(keys, w, sw, rw)
-    size = trie_bits(s, sw, rw)
+    payload = encode_trie(keys, w, sw)
+    size = trie_bits(s, sw)
     shape = _reference_shape(keys, w)
     assert payload < 1 << size
     # Bits past the documented size are never read ...
     junk = data.draw(st.integers(0, 255))
-    assert decode_trie(payload | junk << size, s, w, sw, rw) == shape
+    assert decode_trie(payload | junk << size, s, w, sw) == shape
     # ... and the last of them is the last leaf's 0 bit.
     with pytest.raises(CorruptIndexError):
-        decode_trie(payload | 1 << (size - 1), s, w, sw, rw)
+        decode_trie(payload | 1 << (size - 1), s, w, sw)
 
 
-# Payloads that write() emitted before hashes were encoded straight to their
-# payload int: (keys, u, payload_bits, payload in hex).
+# Recorded payloads that write() emits: (keys, u, payload_bits, payload in hex).
+# A pair bucket is its branch depth alone, sw bits.
 _SPREAD = sorted({(i * 2654435761) % 4096 for i in range(100)})
 _RECORDED = [
-    ([3, 9], 16, 3, "0"),
+    ([3, 9], 16, 2, "0"),
     ([3, 9, 17, 40, 41], 64, 21, "48111"),
     (list(range(0, 1000, 37)), 1024, 173, "410204210c1810211808430808c0420408423b9172"),
-    (list(range(5, 1024, 85)), 1024, 70, "40108404202108757"),
+    (list(range(5, 1024, 85)), 1024, 69, "40108404202108757"),
     (_SPREAD, 4096, 651,
      "10690302102084204194a0230204108c08338c046021030842045280840420610940921020"
      "460c102108114a0408c18204108c48c0c08420c0821087280810840420418427f5cd88b859"

@@ -202,10 +202,10 @@ def test_trie_randomized_wide_keys():
 @pytest.mark.parametrize("sigma", [2, 3, 8, 9, 64, 1000, 1024, 65537])
 def test_payload_bits_closed_form_equals_the_bucket_loop(sigma):
     for k in range(1, width(sigma) + 1):
-        w, sw, rw = PredIndex.widths(sigma, k)
+        w, sw = PredIndex.widths(sigma, k)
         for m in range(3 * w + 1):
             # One w-bit top key per bucket, then its samples past the first.
-            loop = sum(w + _bucket_bits(min(w, m - base), k, w, sw, rw)
+            loop = sum(w + _bucket_bits(min(w, m - base), k, w, sw)
                        for base in range(0, m, w))
             want = EMPTY_PRED_BITS if m <= DIRECT_LIMIT else loop
             assert PredIndex.payload_bits(m, sigma, k) == want, (m, sigma, k)
@@ -227,21 +227,18 @@ def test_payload_size_depends_only_on_m_sigma_and_k(data):
     assert bw2.getvalue() == bw.getvalue()
 
 
-# Payloads that write() emitted before predecessor sets were encoded straight
-# to their payload int: (members, sigma, k, payload_bits, payload in hex).
+# Recorded payloads that write() emits: (members, sigma, k, payload_bits,
+# payload in hex).
 _SPREAD = sorted({(i * 2654435761) % 4096 for i in range(100)})
 _RECORDED = [
-    (list(range(0, 32, 3)), 32, 2, 53, "48a0420c1f9e0"),
-    (list(range(1, 32, 2)), 32, 1, 155, "6862108380c8d444481c021a108160603fd561"),
-    (_SPREAD, 4096, 1, 1391,
-     "6410406609152321c34e11942640d206d0219041019816c0a2a4372321c23284c81840da0c"
-     "3208203303d80c5486e461d830c10863530c186cc21084405b028a90dc843b0618210c6a61"
-     "830d99421088136012e824c06e063b0cea110c2e61b3084211016c0a5d04980dc0c7619d42"
-     "2184841720d90c104d80c548c870d386dc2328c4309082c41b208207b028a9090e1a70db84"
-     "2a0590219041019805803607f5cd88b859b17ae5ab3d71d4000"),
-    (_SPREAD, 4096, 3, 416,
-     "fd11a18415828d0c20ec0c22164260a110b253010885909828442c8cc0c22164260a040500"
-     "b07f5cd88b859b17ae5ab3d71d4000"),
+    (list(range(0, 32, 3)), 32, 2, 37, "8409f9e0"),
+    (list(range(1, 32, 2)), 32, 1, 83, "110cc5046204113fd561"),
+    (_SPREAD, 4096, 1, 663,
+     "10690302102084204194a0230204108c08338c046021030842045280840420610940921020"
+     "460c102108114a0408c18204108c48c0c08420c0821087280810840420418427f5cd88b859"
+     "b17ae5ab3d71d4000"),
+    (_SPREAD, 4096, 3, 272,
+     "fd10614a0c38c0422809410108a0230c042280427f5cd88b859b17ae5ab3d71d4000"),
     (_SPREAD, 4096, 12, 108, "f5cd88b859b17ae5ab3d71d4000"),
     (list(range(DIRECT_LIMIT)), 1024, 1, 0, "0"),
 ]

@@ -147,6 +147,8 @@ def test_constructor_validates():
         ProbedText([0, 3, 1, 9], 3)
     with pytest.raises(MalformedInputError, match="symbol -1 at position 2"):
         ProbedText([0, 1, -1, 5], 3)
+    with pytest.raises(MalformedInputError, match="integers"):
+        ProbedText([0, 1.5, 1], 2)
     with pytest.raises(EmptyTextError):
         ProbedText([], 2)
 
