@@ -1,4 +1,5 @@
-"""Plain bitvector with a sampled rank/select directory, plus bit-level I/O.
+"""Plain bitvector with a sampled rank/select directory, plus bit-level I/O
+and the encoder and parser of unary count sections.
 
 The directory stores one cumulative popcount per 256-bit superblock and is
 rebuilt on load; only the payload is ever serialized.  Queries scan at most
@@ -191,34 +192,12 @@ class RsBitvector:
             acc += cnt
             wi += 1
 
-    # -- accounting and serialization -------------------------------------
+    # -- accounting -------------------------------------------------------
 
     @property
     def directory_bits(self):
         """Reported in-memory overhead of the rank directory."""
         return len(self._ranks) * DIRECTORY_ENTRY_BITS
-
-    def to_bytes(self):
-        """64-bit LE bit length, then payload as 64-bit LE words."""
-        out = bytearray(struct.pack("<Q", self._nbits))
-        for w in self._words:
-            out += struct.pack("<Q", w)
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, data):
-        if len(data) < 8:
-            raise CorruptIndexError("bitvector header truncated")
-        (nbits,) = struct.unpack_from("<Q", data, 0)
-        nwords = (nbits + WORD - 1) // WORD
-        if len(data) != 8 + 8 * nwords:
-            raise CorruptIndexError("bitvector payload length mismatch")
-        words = list(struct.unpack_from(f"<{nwords}Q", data, 8))
-        if nbits % WORD:
-            pad = words[-1] >> (nbits % WORD) if nwords else 0
-            if pad:
-                raise CorruptIndexError("bitvector padding bits are not zero")
-        return cls._from_words(words, nbits)
 
     def __eq__(self, other):
         if not isinstance(other, RsBitvector):
@@ -232,31 +211,42 @@ class RsBitvector:
         return f"RsBitvector(len={self._nbits}, ones={self._ones})"
 
 
-def unary_bitvector(counts):
-    """bv = 1^{n_0} 0 1^{n_1} 0 ... 1^{n_{z-1}} 0 for counts [n_0, ..., n_{z-1}].
+def unary_section(parts):
+    """Bytes of 1^{r_0} 0 1^{r_1} 0 ... over each part's runs in turn, bit 0
+    first, zero-padded to a byte; unary_counts inverts it.  Runs are joined
+    per part, so one part's run strings at most are held at once."""
+    bits = "".join(["0".join(["1" * r for r in part]) + "0" for part in parts])
+    return int(bits[::-1], 2).to_bytes((len(bits) + 7) // 8, "little") if bits else b""
 
-    The inverse of unary_counts: one run string, read as an int, bit 0 last.
+
+def unary_counts(section, sizes, nzeros):
+    """Per part p, the nzeros run lengths of a unary_section whose part p
+    holds sizes[p] ones: [[r_0, ..., r_{nzeros-1}] for each part].
+
+    Raises CorruptIndexError unless the section has the byte length of its
+    parts, zero padding bits, and each part exactly nzeros runs, each closed
+    by a zero.  One pass over the section; no bitvector is made.
     """
-    runs = "".join(["0" + "1" * c for c in reversed(counts)])
-    return RsBitvector.from_int(int(runs, 2) if runs else 0, len(runs))
-
-
-def unary_counts(bv, nzeros):
-    """Run lengths [n_0, ..., n_{z-1}] of bv = 1^{n_0} 0 1^{n_1} 0 ... 1^{n_{z-1}} 0.
-
-    Raises CorruptIndexError unless bv has exactly `nzeros` zeros and ends in
-    a zero.  One pass over the payload; no select calls.
-    """
-    nbits = bv._nbits
-    value = int.from_bytes(struct.pack(f"<{len(bv._words)}Q", *bv._words), "little")
-    runs = format(value, "b").zfill(nbits)[::-1].split("0") if nbits else [""]
-    if len(runs) != nzeros + 1 or runs[-1]:
-        raise CorruptIndexError(
-            f"unary vector of {nbits} bits does not hold exactly {nzeros} "
-            f"runs each closed by a zero"
-        )
-    runs.pop()
-    return list(map(len, runs))
+    nbits = sum(sizes) + nzeros * len(sizes)
+    if (nbits + 7) // 8 != len(section):
+        raise CorruptIndexError("unary section length disagrees with its parts")
+    value = int.from_bytes(section, "little")
+    if value >> nbits:
+        raise CorruptIndexError("section padding bits are not zero")
+    bits = format(value, "b").zfill(nbits)[::-1]
+    out = []
+    end = 0
+    for size in sizes:
+        start, end = end, end + size + nzeros
+        runs = bits[start:end].split("0")
+        if len(runs) != nzeros + 1 or runs[-1]:
+            raise CorruptIndexError(
+                f"unary part of {end - start} bits does not hold exactly "
+                f"{nzeros} runs each closed by a zero"
+            )
+        runs.pop()
+        out.append(list(map(len, runs)))
+    return out
 
 
 #: _SELECT_IN_BYTE[8 * byte + r - 1]: position of the r-th set bit of byte.

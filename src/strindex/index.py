@@ -2,13 +2,14 @@
 
 The sequence is cut into blocks of sigma consecutive positions (the last may
 be shorter).  Per block: a unary bitstring Z = 1^{n_0} 0 1^{n_1} 0 ... encodes
-symbol multiplicities; a monotone hash per present symbol ranks in-block
-occurrences; shortcut tables invert the block's stable-sort permutation; a
-predecessor structure per present symbol counts occurrences below a position.
-Across blocks, queries route through an in-memory table of each symbol's
-per-block counts as prefix sums, which build and load derive from Z.  The
-file stores each of these facts once, in four sections, and ends in a CRC32
-of every byte before it.
+symbol multiplicities, and lives only in the file's Z section, which no query
+reads; a monotone hash per present symbol ranks in-block occurrences; shortcut
+tables invert the block's stable-sort permutation; a predecessor structure per
+present symbol counts occurrences below a position.  Across blocks, queries
+route through an in-memory table of each symbol's per-block counts as prefix
+sums, which build and load derive from the counts Z encodes.  The file
+stores each of these facts once, in four sections, and ends in a CRC32 of
+every byte before it.
 
 select walks: block via a binary search of that table (probe-free), then one
 permutation inversion (<= 2t+1 probes).  rank reads its block's entry of the
@@ -27,7 +28,7 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import accumulate, chain
 
-from .bits import BitReader, BitWriter, typecode, unary_bitvector, unary_counts, width
+from .bits import BitReader, BitWriter, typecode, unary_counts, unary_section, width
 from .errors import (
     BadSymbolError,
     CorruptIndexError,
@@ -72,12 +73,11 @@ def max_k(sigma):
 class _Block:
     """Per-block structures; positions are block-local."""
 
-    __slots__ = ("start", "length", "z", "base", "hashes", "preds", "shortcuts")
+    __slots__ = ("start", "length", "base", "hashes", "preds", "shortcuts")
 
-    def __init__(self, start, length, z, base, hashes, preds, shortcuts):
+    def __init__(self, start, length, base, hashes, preds, shortcuts):
         self.start = start
         self.length = length
-        self.z = z
         self.base = base  # base[c]: occurrences of symbols < c in the block
         # hashes[c], preds[c]: c's sets, for every c < sigma; None where n_c = 0.
         self.hashes = hashes
@@ -119,15 +119,16 @@ class SpaceReport:
 class StringIndex:
     """Systematic rank/select index; stores counts, never symbols."""
 
-    __slots__ = ("n", "sigma", "t", "k", "fingerprint", "before", "blocks",
+    __slots__ = ("n", "sigma", "t", "k", "fingerprint", "z", "before", "blocks",
                  "_sel_budget", "_rnk_budget", "_paired")
 
-    def __init__(self, n, sigma, t, k, fingerprint, before, blocks):
+    def __init__(self, n, sigma, t, k, fingerprint, z, before, blocks):
         self.n = n
         self.sigma = sigma
         self.t = t
         self.k = k
         self.fingerprint = fingerprint
+        self.z = z  # the Z section as the file stores it; no query reads it
         # before[c * (nblocks + 1) + b]: occurrences of c in blocks < b; the
         # row's last entry is count(c).
         self.before = before
@@ -185,12 +186,13 @@ class StringIndex:
                 for r, i in enumerate(occ[c], base[c]):
                     pi[i] = r
             blocks.append(_Block(
-                start, length, unary_bitvector(counts), base, tuple(hashes),
-                tuple(preds), ShortcutTable(pi.__getitem__, length, t),
+                start, length, base, tuple(hashes), tuple(preds),
+                ShortcutTable(pi.__getitem__, length, t),
             ))
             block_counts.append(counts)
-        return cls(n, sigma, t, k, text.fingerprint, _routing_table(block_counts),
-                   blocks)
+        return cls(n, sigma, t, k, text.fingerprint,
+                   unary_section(block_counts),
+                   _routing_table(block_counts), blocks)
 
     # -- queries ---------------------------------------------------------------
 
@@ -279,7 +281,7 @@ class StringIndex:
     # -- space accounting -------------------------------------------------------
 
     def space_report(self):
-        z_bits = sum(blk.z.nbits for blk in self.blocks)
+        z_bits = self.n + len(self.blocks) * self.sigma
         mmphf_bits = sum(h.bits() for blk in self.blocks
                          for h in blk.hashes if h is not None)
         pred_bits = sum(p.bits() for blk in self.blocks
@@ -287,8 +289,7 @@ class StringIndex:
         shortcut_bits = sum(blk.shortcuts.bits() for blk in self.blocks)
         target_bits = sum(blk.shortcuts.target_bits() for blk in self.blocks)
         directory_bits = (
-            sum(blk.z.directory_bits for blk in self.blocks)
-            + sum(blk.shortcuts.marked.directory_bits for blk in self.blocks)
+            sum(blk.shortcuts.marked.directory_bits for blk in self.blocks)
             + sum(8 * blk.base.itemsize * len(blk.base) for blk in self.blocks)
             + 8 * self.before.itemsize * len(self.before)
         )
@@ -316,7 +317,7 @@ class StringIndex:
 
     def to_bytes(self):
         sections = {
-            _TAG_Z: self._write_z(),
+            _TAG_Z: self.z,
             _TAG_MMPHF: self._write_sets("hashes"),
             _TAG_PRED: self._write_sets("preds"),
             _TAG_SHORT: self._write_short(),
@@ -335,12 +336,6 @@ class StringIndex:
             offset += len(payload)
         blob = header + bytes(table) + bytes(body)
         return blob + _CRC.pack(zlib.crc32(blob))
-
-    def _write_z(self):
-        bw = BitWriter()
-        for blk in self.blocks:
-            bw.write_bv(blk.z)
-        return bw.getvalue()
 
     def _write_sets(self, attr):
         """The hash ("hashes") or predecessor ("preds") section: each block's
@@ -377,11 +372,10 @@ class StringIndex:
         end = len(data) - _CRC.size  # where the sections must end
         if end < _HEADER.size + nsections * _TABLE_ENTRY.size:
             raise CorruptIndexError("section table truncated")
+        table = [_TABLE_ENTRY.unpack_from(data, _HEADER.size + i * _TABLE_ENTRY.size)
+                 for i in range(nsections)]
         sections = {}
-        for i in range(nsections):
-            tag, off, length = _TABLE_ENTRY.unpack_from(
-                data, _HEADER.size + i * _TABLE_ENTRY.size
-            )
+        for tag, off, length in table:
             if off + length > end:
                 raise CorruptIndexError(f"section {tag} overruns the file")
             sections[tag] = data[off:off + length]
@@ -394,11 +388,7 @@ class StringIndex:
         if (n + nblocks * sigma + 7) // 8 != len(sections[_TAG_Z]):
             raise CorruptIndexError("Z section length disagrees with the header")
         lengths = [min(sigma, n - b * sigma) for b in range(nblocks)]
-
-        br = BitReader(sections[_TAG_Z])
-        zs = [br.read_bv(length + sigma) for length in lengths]
-        _finish_section(br, sections[_TAG_Z])
-        counts = [unary_counts(z, sigma) for z in zs]
+        counts = unary_counts(sections[_TAG_Z], lengths, sigma)
         charsets = [[c for c in range(sigma) if cnt[c]] for cnt in counts]
 
         hashes_per_block = _read_sets(sections[_TAG_MMPHF], counts, charsets,
@@ -410,18 +400,26 @@ class StringIndex:
         shortcuts = [ShortcutTable.read(br, lengths[b], t) for b in range(nblocks)]
         _finish_section(br, sections[_TAG_SHORT])
 
-        # Checked last, so that each structural check above names its fault.
+        # Checked after the parses, so that each of them names its fault: the
+        # table lists _TAGS in order, and its sections tile the bytes between
+        # the table and the checksum.
+        starts = accumulate((length for _, _, length in table),
+                            initial=_HEADER.size + nsections * _TABLE_ENTRY.size)
+        if ([tag for tag, _, _ in table] != list(_TAGS)
+                or [off for _, off, _ in table] + [end] != list(starts)):
+            raise CorruptIndexError("sections do not tile the file")
         if zlib.crc32(data[:end]) != _CRC.unpack_from(data, end)[0]:
             raise CorruptIndexError("index checksum mismatch")
         base_row = _row(sigma, sigma)
         blocks = [
             _Block(
-                b * sigma, lengths[b], zs[b], _prefix_counts(counts[b], base_row),
+                b * sigma, lengths[b], _prefix_counts(counts[b], base_row),
                 hashes_per_block[b], preds_per_block[b], shortcuts[b],
             )
             for b in range(nblocks)
         ]
-        return cls(n, sigma, t, k, fingerprint, _routing_table(counts), blocks)
+        return cls(n, sigma, t, k, fingerprint, bytes(sections[_TAG_Z]),
+                   _routing_table(counts), blocks)
 
 
 def _row(largest, length):

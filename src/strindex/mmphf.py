@@ -25,20 +25,17 @@ short descent.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_left, bisect_right
 from itertools import islice
 from operator import lt
 
-from .bits import BitReader, BitWriter, split_fields, width
+from .bits import split_fields, width
 from .errors import CorruptIndexError, MalformedInputError
 
 # Audit constants for the size bound checked by tests:
 # bits(h) <= SIZE_C * m * log2(log2(u)) + SIZE_CPRIME * (m / beta) * log2(u).
 SIZE_C = 8
 SIZE_CPRIME = 4
-
-STANDALONE_HEADER_BITS = 128  # u64 m + u64 u
 
 #: The bucket of one key: a trie with no nodes, whose only leaf is rank 0.
 _LEAF = ((), (), ())
@@ -295,22 +292,3 @@ class MonotoneHash:
             buckets.append(bucket)
         self._nbits = pos
         return self
-
-    def to_bytes(self):
-        bw = BitWriter()
-        self.write(bw)
-        return struct.pack("<QQ", self.m, self.u) + bw.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data):
-        if len(data) < 16:
-            raise CorruptIndexError("monotone hash header truncated")
-        m, u = struct.unpack_from("<QQ", data, 0)
-        if u < 1 or m > u:
-            raise CorruptIndexError(f"hash header m={m} u={u} needs u >= 1 and m <= u")
-        h = cls.read(BitReader(data[16:]), m, u)
-        if len(data) != 16 + (h.bits() + 7) // 8:
-            raise CorruptIndexError("monotone hash payload length mismatch")
-        if int.from_bytes(data[16:], "little") >> h.bits():
-            raise CorruptIndexError("monotone hash padding bits are not zero")
-        return h

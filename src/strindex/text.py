@@ -47,16 +47,15 @@ class ProbedText:
         payload = tuple(symbols)
         if not payload:
             raise EmptyTextError("text must contain at least one symbol")
-        if min(payload) < 0 or max(payload) >= sigma:
-            pos = next(i for i, sym in enumerate(payload) if not 0 <= sym < sigma)
-            raise MalformedInputError(
-                f"symbol {payload[pos]} at position {pos} outside alphabet [0, {sigma})"
-            )
-        if sigma > len(payload):
-            raise SigmaExceedsLengthError(
-                f"sigma {sigma} exceeds text length {len(payload)}"
-            )
-        try:
+        try:  # a non-integer symbol fails the comparisons or the packing
+            if min(payload) < 0 or max(payload) >= sigma:
+                pos = next(i for i, sym in enumerate(payload) if not 0 <= sym < sigma)
+                raise MalformedInputError(f"symbol {payload[pos]} at position "
+                                          f"{pos} outside alphabet [0, {sigma})")
+            if sigma > len(payload):
+                raise SigmaExceedsLengthError(
+                    f"sigma {sigma} exceeds text length {len(payload)}"
+                )
             self._payload = array(typecode(sigma - 1), payload)
         except TypeError as err:
             raise MalformedInputError(f"symbols must be integers: {err}") from None

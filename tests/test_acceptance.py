@@ -231,18 +231,29 @@ def test_criterion_5_z_exactness():
     ]
     bad = []
     for text in cases:
-        ix = build(text, t=2)
-        for b, blk in enumerate(ix.blocks):
-            full = blk.length == text.sigma
-            if blk.z.zeros != text.sigma:
-                bad.append(f"n={text.n} sigma={text.sigma} block={b}: "
-                           f"{blk.z.zeros} zeros")
-            want_ones = text.sigma if full else blk.length
-            if blk.z.ones != want_ones:
-                bad.append(f"n={text.n} sigma={text.sigma} block={b}: "
-                           f"{blk.z.ones} ones != {want_ones}")
-            if blk.z.nbits != blk.length + text.sigma:
-                bad.append(f"n={text.n} sigma={text.sigma} block={b}: bad Z length")
+        built = build(text, t=2)
+        sigma = text.sigma
+        # The stored Z section, as built and as loaded.
+        for ix in (built, StringIndex.from_bytes(built.to_bytes())):
+            where = f"n={text.n} sigma={sigma}"
+            bits = "".join(f"{byte:08b}"[::-1] for byte in ix.z)
+            # Block b's Z ends just after the section's (b+1)*sigma-th zero.
+            ends = [i + 1 for i, bit in enumerate(bits) if bit == "0"][sigma - 1::sigma]
+            if len(ends) < len(ix.blocks):
+                bad.append(f"{where}: {len(ends)} Z strings for {len(ix.blocks)} blocks")
+                continue
+            for b, blk in enumerate(ix.blocks):
+                z = bits[ends[b - 1] if b else 0:ends[b]]
+                if z.count("0") != sigma:
+                    bad.append(f"{where} block={b}: {z.count('0')} zeros")
+                if z.count("1") != blk.length:
+                    bad.append(f"{where} block={b}: "
+                               f"{z.count('1')} ones != {blk.length}")
+                if len(z) != blk.length + sigma:
+                    bad.append(f"{where} block={b}: bad Z length")
+            padding = bits[ends[len(ix.blocks) - 1]:]
+            if "1" in padding or len(padding) >= 8:
+                bad.append(f"{where}: Z section ends in {padding!r}, not padding")
     ok = not bad
     _report(5, ok, f"Z strings over {len(cases)} texts checked; {len(bad)} defects")
     assert ok, bad

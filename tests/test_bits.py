@@ -11,8 +11,8 @@ from strindex.bits import (
     BitWriter,
     CorruptIndexError,
     _select_in_word,
-    unary_bitvector,
     unary_counts,
+    unary_section,
     width,
 )
 
@@ -100,29 +100,6 @@ def test_directory_overhead_budget():
     assert RsBitvector([1] * 100).directory_bits == 0  # small vectors scan words
 
 
-def test_serialization_round_trip():
-    for pattern in ("", "1", "101010", "0" * 100 + "1" * 29):
-        v = bv(pattern)
-        blob = v.to_bytes()
-        w = RsBitvector.from_bytes(blob)
-        assert w == v
-        assert w.to_bytes() == blob
-        assert w.directory_bits == v.directory_bits
-
-
-def test_deserialization_errors():
-    v = bv("10110")
-    blob = v.to_bytes()
-    with pytest.raises(CorruptIndexError):
-        RsBitvector.from_bytes(blob[:4])
-    with pytest.raises(CorruptIndexError):
-        RsBitvector.from_bytes(blob + b"\x00" * 8)
-    bad = bytearray(blob)
-    bad[-1] |= 0x80  # set a padding bit past nbits
-    with pytest.raises(CorruptIndexError):
-        RsBitvector.from_bytes(bytes(bad))
-
-
 def test_bit_writer_reader_round_trip():
     bw = BitWriter()
     values = [(5, 3), (0, 1), (1, 1), (1023, 10), (0, 0), (2**40 - 3, 64)]
@@ -153,13 +130,19 @@ def test_write_bv_read_bv_round_trip():
     assert br.read_bv(v2.nbits) == v2
 
 
-@given(st.lists(st.integers(0, 70), min_size=1, max_size=40))
-@settings(max_examples=60, deadline=None)
-def test_unary_counts_inverts_unary_encoding(counts):
-    v = bv("".join("1" * m + "0" for m in counts))
-    assert unary_counts(v, len(counts)) == counts
-    assert unary_bitvector(counts) == v
-    assert unary_bitvector(counts).ones == sum(counts)
+def _section(bits):
+    """The bytes whose bit i, counted from bit 0 of byte 0, is bits[i]."""
+    return int(bits[::-1] or "0", 2).to_bytes((len(bits) + 7) // 8, "little")
+
+
+@given(st.integers(1, 8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_unary_counts_inverts_unary_encoding(nzeros, data):
+    parts = data.draw(st.lists(st.lists(st.integers(0, 20), min_size=nzeros,
+                                        max_size=nzeros), max_size=6))
+    section = unary_section(parts)
+    assert section == _section("".join("1" * r + "0" for part in parts for r in part))
+    assert unary_counts(section, [sum(part) for part in parts], nzeros) == parts
 
 
 @given(st.integers(0, 300), st.data())
@@ -175,11 +158,26 @@ def test_from_int_takes_bit_i_of_the_value(nbits, data):
     ("1010", 1),   # one zero too many
     ("1010", 3),   # one zero too few
     ("10101", 2),  # ones after the last zero
-    ("", 1),
+    ("", 1),       # no room for the zero
 ])
 def test_unary_counts_rejects_malformed(pattern, nzeros):
+    # The pattern is one part's bits, so the part holds the rest as ones.
+    ones = max(0, len(pattern) - nzeros)
     with pytest.raises(CorruptIndexError):
-        unary_counts(bv(pattern), nzeros)
+        unary_counts(_section(pattern), [ones], nzeros)
+
+
+@pytest.mark.parametrize("section, sizes, match", [
+    (_section("1010") + b"\x00", [2], "length"),
+    (b"", [2], "length"),
+    (_section("10101"), [2], "padding"),  # a set bit past the last part
+    # [1, 1], [0, 1] with part 0's last one moved to part 1's start: the
+    # section's ones and zeros hold, and part 0 ends in a one.
+    (_section("1001010"), [2, 1], "runs"),
+], ids=["longer", "shorter", "padding", "one-moved-across-parts"])
+def test_unary_counts_rejects_a_section_its_parts_do_not_fill(section, sizes, match):
+    with pytest.raises(CorruptIndexError, match=match):
+        unary_counts(section, sizes, 2)
 
 
 def test_width_is_bits_for_values_below_x():

@@ -41,15 +41,20 @@ from strindex.index import (
 from conftest import brute_rank, brute_select, make_random_text, positions_of
 
 
-def bits_of(v):
-    return "".join(str(v.get(i)) for i in range(v.nbits))
+def bits_of(data):
+    """The bits of `data`, bit 0 of byte 0 first."""
+    return "".join(f"{byte:08b}"[::-1] for byte in data)
 
 
 def test_build_block_decomposition(sample_text):
-    ix = build(sample_text, t=1, k=1)
-    assert len(ix.blocks) == 2
-    assert bits_of(ix.blocks[0].z) == "101010"
-    assert bits_of(ix.blocks[1].z) == "110100"
+    built = build(sample_text, t=1, k=1)
+    blob = built.to_bytes()
+    for ix in (built, StringIndex.from_bytes(blob)):
+        assert len(ix.blocks) == 2
+        off, length = _section(blob, _TAG_Z)
+        assert ix.z == blob[off:off + length]
+        # Block 0's Z, then block 1's, then zero padding to a byte.
+        assert bits_of(ix.z) == "101010" + "110100" + "0000"
 
 
 def test_single_block_cross_vectors():
@@ -296,6 +301,59 @@ def test_unary_payload_bit_flip_is_corrupt(tag, where):
         StringIndex.from_bytes(bytes(blob))
 
 
+def _restamp(blob):
+    """`blob` with its CRC32 trailer recomputed, so that only structure checks
+    can reject it."""
+    return bytes(blob[:-4]) + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
+def test_one_moved_between_blocks_is_corrupt():
+    # sigma=8: every block holds all 8 symbols, so its Z ends in "10".
+    text = ProbedText(list(range(8)) * 3, 8)
+    ix = build(text, t=2)
+    bits = bits_of(ix.z)
+    assert bits[:16] == "10" * 8
+    # Block 0's last one moves to the start of block 1's Z: the section keeps
+    # its ones and zeros, and only block 0's Z (its first 16 bits) ends in a 1.
+    moved = bits[:14] + "01" + bits[16:]
+    blob = bytearray(ix.to_bytes())
+    off, length = _section(blob, _TAG_Z)
+    blob[off:off + length] = int(moved[::-1], 2).to_bytes(length, "little")
+    with pytest.raises(CorruptIndexError, match="runs each closed by a zero"):
+        StringIndex.from_bytes(_restamp(blob))
+
+
+def _relaid(blob, table, body):
+    """A file with blob's header fields, the given (tag, offset, length) table
+    and body, and a valid checksum."""
+    return _restamp(_patch_header(blob, nsections=len(table))[:_HEADER.size]
+                    + b"".join(_TABLE_ENTRY.pack(*entry) for entry in table)
+                    + body + bytes(4))
+
+
+@pytest.mark.parametrize("fault", ["inserted", "gap", "duplicate", "unknown"])
+def test_sections_must_tile_the_file(fault):
+    blob = build(make_random_text(100, 8, seed=1), t=2).to_bytes()
+    table = [_TABLE_ENTRY.unpack_from(blob, _HEADER.size + i * _TABLE_ENTRY.size)
+             for i in range(len(_TAGS))]
+    first = _HEADER.size + len(table) * _TABLE_ENTRY.size
+    body = blob[first:-4]
+    if fault == "inserted":  # two bytes between the last section and the trailer
+        bad = _relaid(blob, table, body + b"\x00\x00")
+    elif fault == "gap":  # one byte before the shortcut section
+        tag, off, length = table[-1]
+        split = off - first
+        bad = _relaid(blob, table[:-1] + [(tag, off + 1, length)],
+                      body[:split] + b"\x00" + body[split:])
+    else:  # a fifth entry, which shifts every section by one entry
+        extra = table[-1] if fault == "duplicate" else (9, len(blob) - 4, 0)
+        table = [(tag, off + _TABLE_ENTRY.size, length)
+                 for tag, off, length in table + [extra]]
+        bad = _relaid(blob, table, body)
+    with pytest.raises(CorruptIndexError, match="tile"):
+        StringIndex.from_bytes(bad)
+
+
 def _zipf_text(n, sigma, seed):
     rng = random.Random(seed)
     cum, acc = [], 0
@@ -380,9 +438,7 @@ def test_space_report_components_sum():
     nblocks = len(ix.blocks)
     assert rep.cross_bits == 0  # the file has no cross section
     assert rep.z_bits == text.n + text.sigma * nblocks
-    vector_dirs = sum(
-        blk.z.directory_bits + blk.shortcuts.marked.directory_bits for blk in ix.blocks
-    )
+    vector_dirs = sum(blk.shortcuts.marked.directory_bits for blk in ix.blocks)
     base_bits = 8 * ix.blocks[0].base.itemsize * text.sigma * nblocks
     table_bits = 8 * ix.before.itemsize * text.sigma * (nblocks + 1)
     assert rep.directory_bits == vector_dirs + base_bits + table_bits
@@ -414,9 +470,10 @@ def test_routing_matches_reference_at_edges(text, t):
     nblocks = len(built.blocks)
     seams = [b * sigma for b in range(nblocks + 1) if b * sigma <= n]
     for ix in (built, StringIndex.from_bytes(built.to_bytes())):
+        block_counts = unary_counts(ix.z, [blk.length for blk in ix.blocks], sigma)
         for c in range(sigma):
             row = ix.before[c * (nblocks + 1):(c + 1) * (nblocks + 1)]
-            counts = [unary_counts(blk.z, sigma)[c] for blk in ix.blocks]
+            counts = [cnt[c] for cnt in block_counts]
             assert list(row) == list(accumulate(counts, initial=0))
             total = ref.count(c)
             for j in {1, max(1, total), total + 1}:

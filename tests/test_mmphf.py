@@ -1,6 +1,5 @@
 import math
 import random
-import struct
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from strindex.bits import BitReader, BitWriter, width
 from strindex.mmphf import (
     SIZE_C,
     SIZE_CPRIME,
-    STANDALONE_HEADER_BITS,
     _bucket_bits,
     decode_trie,
     encode_trie,
@@ -29,7 +27,10 @@ def test_empty_set():
     h = MonotoneHash([], 8)
     assert h.bits() == 0
     assert 0 <= h.eval(5) <= 0
-    assert len(h.to_bytes()) * 8 == STANDALONE_HEADER_BITS
+    bw = BitWriter()
+    h.write(bw)
+    assert bw.getvalue() == b""
+    assert MonotoneHash.read(BitReader(b""), 0, 8).eval(5) == 0
 
 
 def test_identity_on_full_universe():
@@ -72,19 +73,22 @@ def test_build_rejects_malformed():
         MonotoneHash([1, 9], 8)
 
 
+def _payload(h):
+    bw = BitWriter()
+    h.write(bw)
+    return bw.getvalue()
+
+
 def test_rebuild_is_byte_identical():
     keys = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
-    a = MonotoneHash(keys, 64).to_bytes()
-    b = MonotoneHash(keys, 64).to_bytes()
-    assert a == b
+    assert _payload(MonotoneHash(keys, 64)) == _payload(MonotoneHash(keys, 64))
 
 
 def test_serialization_round_trip():
     keys = [1, 4, 6, 7, 100, 1000, 4095]
-    h = MonotoneHash(keys, 4096)
-    blob = h.to_bytes()
-    g = MonotoneHash.from_bytes(blob)
-    assert g.to_bytes() == blob
+    blob = _payload(MonotoneHash(keys, 4096))
+    g = MonotoneHash.read(BitReader(blob), len(keys), 4096)
+    assert _payload(g) == blob
     for rank, key in enumerate(keys):
         assert g.eval(key) == rank
 
@@ -97,42 +101,6 @@ def test_payload_bits_closed_form_equals_the_bucket_loop(u):
         loop = max(0, sum(w + _bucket_bits(min(w, m - lo), sw)
                           for lo in range(0, m, w)) - w)
         assert MonotoneHash.payload_bits(m, u) == loop, (m, u)
-
-
-@pytest.mark.parametrize("m, u", [
-    (1 << 60, (1 << 64) - 1),  # payload far past the file, sized in O(1)
-    (1 << 60, 1 << 60),
-    (1 << 60, 1024),  # more keys than the universe holds
-    (2, 1),
-    (1, 0),
-    (0, 0),
-])
-def test_forged_standalone_header_is_corrupt(m, u):
-    with pytest.raises(CorruptIndexError):
-        MonotoneHash.from_bytes(struct.pack("<QQ", m, u) + bytes(16))
-
-
-@pytest.mark.parametrize("keys, u", [
-    ([1, 4, 6, 7, 100, 1000, 4095], 4096),
-    ([5], 16),  # a one-key hash has no payload bytes at all
-])
-@pytest.mark.parametrize("tail", [b"\xff\xff", b"\x00"])
-def test_standalone_bytes_past_the_payload_are_corrupt(keys, u, tail):
-    blob = MonotoneHash(keys, u).to_bytes()
-    assert MonotoneHash.from_bytes(blob).to_bytes() == blob
-    with pytest.raises(CorruptIndexError, match="length mismatch"):
-        MonotoneHash.from_bytes(blob + tail)
-
-
-def test_standalone_padding_bits_are_corrupt():
-    h = MonotoneHash([1, 4, 6, 7, 100, 1000, 4095], 4096)
-    assert h.bits() % 8  # the last byte holds padding
-    blob = bytearray(h.to_bytes())
-    for bit in range(h.bits() % 8, 8):
-        padded = bytearray(blob)
-        padded[-1] |= 1 << bit
-        with pytest.raises(CorruptIndexError, match="padding"):
-            MonotoneHash.from_bytes(bytes(padded))
 
 
 def test_embedded_write_read_round_trip():

@@ -190,3 +190,11 @@ def test_bad_symbol_is_named_before_packing(sigma, above):
     with pytest.raises(MalformedInputError,
                        match=rf"symbol {value} at position 5 outside alphabet \[0, {sigma}\)"):
         ProbedText(symbols, sigma)
+
+
+@pytest.mark.parametrize("symbols", [["a", "b"], [0, "b"], [None, 1]],
+                         ids=["strings", "mixed", "none"])
+def test_non_integer_symbols_are_malformed(symbols):
+    # Such symbols fail the range check's comparisons before any packing.
+    with pytest.raises(MalformedInputError, match="integers"):
+        ProbedText(symbols, 2)
