@@ -3,7 +3,9 @@ and the encoder and parser of unary count sections.
 
 The directory stores one cumulative popcount per 256-bit superblock and is
 rebuilt on load; only the payload is ever serialized.  Queries scan at most
-four 64-bit words past a directory entry.
+four 64-bit words past a directory entry.  No index, query or load path uses
+RsBitvector, BitReader.read_bv or BitWriter.write_bv any more: the
+benchmark's traced layers and this module's tests still name them.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import accumulate, chain
+from operator import index
 
 from .bits import BitReader, BitWriter, typecode, unary_counts, unary_section, width
 from .errors import (
@@ -36,6 +37,7 @@ from .errors import (
     OutOfRangeError,
     PairingError,
     ProbeBudgetError,
+    StrindexError,
 )
 from .mmphf import MonotoneHash
 from .perm import ShortcutTable, eval_budget
@@ -100,7 +102,7 @@ class SpaceReport:
     shortcut_bits: int
     shortcut_target_bits: int
     header_bits: int
-    directory_bits: int  # in-memory rank directories; rebuilt on load
+    directory_bits: int  # in-memory shortcut mark counts and count tables; not stored
     total_bits: int
 
     def as_dict(self):
@@ -206,11 +208,19 @@ class StringIndex:
             )
         self._paired = text
 
+    # Each query runs in a try that costs nothing until it raises.  An error
+    # raised for a non-integer argument, a TypeError or one of the package's
+    # own, becomes MalformedInputError.
+
     def access(self, text, session, i):
         """s[i] at the cost of exactly one probe."""
         self.check_pairing(text)
         before = session.count
-        sym = text.access(session, i)
+        try:
+            sym = text.access(session, i)
+        except (TypeError, StrindexError):
+            _require_integers(i=i)
+            raise
         if session.count - before != 1:
             raise ProbeBudgetError("access must cost exactly one probe")
         return sym
@@ -218,23 +228,28 @@ class StringIndex:
     def select(self, text, session, c, j):
         """Position of the j-th occurrence of c, or -1; <= 2t+1 probes."""
         self.check_pairing(text)
-        if not 0 <= c < self.sigma:
-            raise BadSymbolError(f"symbol {c} outside alphabet [0, {self.sigma})")
-        if j < 1:
-            raise OutOfRangeError(f"occurrence ordinal must be >= 1, got {j}")
         before = session.count
-        table = self.before
-        row = c * (len(self.blocks) + 1)
-        end = row + len(self.blocks)
-        if j > table[end]:
-            return -1
-        b = bisect_left(table, j, row, end) - 1 - row
-        jp = j - table[row + b]
-        blk = self.blocks[b]
-        base = blk.base
-        answer = blk.start + blk.shortcuts.walk(
-            base[c] + jp - 1, text, session, blk.start, base, blk.hashes
-        )
+        try:
+            if not 0 <= c < self.sigma:
+                raise BadSymbolError(f"symbol {c} outside alphabet [0, {self.sigma})")
+            if j < 1:
+                raise OutOfRangeError(f"occurrence ordinal must be >= 1, got {j}")
+            table = self.before
+            row = c * (len(self.blocks) + 1)
+            end = row + len(self.blocks)
+            if j > table[end]:
+                index(j)  # the one path on which a non-integer j meets no int op
+                return -1
+            b = bisect_left(table, j, row, end) - 1 - row
+            jp = j - table[row + b]
+            blk = self.blocks[b]
+            base = blk.base
+            answer = blk.start + blk.shortcuts.walk(
+                base[c] + jp - 1, text, session, blk.start, base, blk.hashes
+            )
+        except (TypeError, StrindexError):
+            _require_integers(c=c, j=j)
+            raise
         if session.count - before > self._sel_budget:
             raise ProbeBudgetError(
                 f"select used {session.count - before} probes; "
@@ -245,32 +260,29 @@ class StringIndex:
     def rank(self, text, session, c, p):
         """Occurrences of c in s[0, p); <= (3 + ceil(log2 k)) * (2t+1) probes."""
         self.check_pairing(text)
-        if not 0 <= c < self.sigma:
-            raise BadSymbolError(f"symbol {c} outside alphabet [0, {self.sigma})")
-        if not 0 <= p <= self.n:
-            raise OutOfRangeError(f"prefix {p} out of range [0, {self.n}]")
         before = session.count
-        b, p_local = divmod(p, self.sigma)
-        # b == nblocks only when p == n on a block seam: the row's last entry.
-        prior = self.before[c * (len(self.blocks) + 1) + b]
-        if p_local == 0:
-            return prior
-        blk = self.blocks[b]
-        in_block = 0
-        pred = blk.preds[c]
-        if pred is not None:
-            if p_local >= blk.length:
-                in_block = pred.m
-            else:
-                first = blk.base[c]
-
-                def fetch(r):
-                    """Block-local position of the (r+1)-th occurrence of c."""
-                    return blk.shortcuts.walk(first + r, text, session, blk.start,
-                                              blk.base, blk.hashes)
-
-                in_block = pred.rank(p_local, fetch)
-        answer = prior + in_block
+        try:
+            if not 0 <= c < self.sigma:
+                raise BadSymbolError(f"symbol {c} outside alphabet [0, {self.sigma})")
+            if not 0 <= p <= self.n:
+                raise OutOfRangeError(f"prefix {p} out of range [0, {self.n}]")
+            b, p_local = divmod(p, self.sigma)
+            # b == nblocks only when p == n on a block seam: the row's last entry.
+            answer = self.before[c * (len(self.blocks) + 1) + b]
+            if p_local == 0:
+                return answer
+            blk = self.blocks[b]
+            pred = blk.preds[c]
+            if pred is not None:
+                if p_local >= blk.length:
+                    answer += pred.m
+                else:
+                    base = blk.base
+                    answer += pred.count(p_local, blk.shortcuts.walk, base[c], text,
+                                         session, blk.start, base, blk.hashes)
+        except (TypeError, StrindexError):
+            _require_integers(c=c, p=p)
+            raise
         if session.count - before > self._rnk_budget:
             raise ProbeBudgetError(
                 f"rank used {session.count - before} probes; "
@@ -289,7 +301,7 @@ class StringIndex:
         shortcut_bits = sum(blk.shortcuts.bits() for blk in self.blocks)
         target_bits = sum(blk.shortcuts.target_bits() for blk in self.blocks)
         directory_bits = (
-            sum(blk.shortcuts.marked.directory_bits for blk in self.blocks)
+            sum(blk.shortcuts.directory_bits() for blk in self.blocks)
             + sum(8 * blk.base.itemsize * len(blk.base) for blk in self.blocks)
             + 8 * self.before.itemsize * len(self.before)
         )
@@ -482,6 +494,16 @@ def _read_sets(section, counts, charsets, cls, *params):
         out.append(tuple(sets))
     _finish_section(br, section)
     return out
+
+
+def _require_integers(**args):
+    """Raise MalformedInputError naming the first query argument that is not
+    an integer; a bool is one."""
+    for name, value in args.items():
+        try:
+            index(value)
+        except TypeError:
+            raise MalformedInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _finish_section(br, payload):

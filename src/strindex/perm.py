@@ -7,11 +7,19 @@ steps behind it.  Inverting then walks forward from the query, takes at
 most one back-jump at the first marked element, and walks on until the
 predecessor shows up; the gap structure bounds the forward evaluations by
 2 * spacing + 1.  walk() is that one loop, with a block's pi step inlined.
+
+The marks are held as 64-bit words with the count of marks before each word,
+so a step tests its mark with one word read and the back-jump ranks it with
+one more popcount; the file stores the L mark bits and the targets only.
 """
 
 from __future__ import annotations
 
-from .bits import RsBitvector, split_fields, width
+from array import array
+from functools import lru_cache
+from itertools import accumulate
+
+from .bits import WORD, split_fields, typecode, width
 from .errors import (
     CorruptIndexError,
     MalformedInputError,
@@ -41,10 +49,25 @@ def eval_budget(spacing):
     return 2 * spacing + 1
 
 
-class ShortcutTable:
-    """Marked-position bitvector plus packed back-pointers for one permutation."""
+@lru_cache(maxsize=32)
+def _shape(length, spacing):
+    """What every table over [length] at this spacing shares: its target
+    width, its mark word count, the typecode of its ranks and walk's step
+    range."""
+    return (width(length), (length + WORD - 1) // WORD, typecode(length),
+            range(eval_budget(spacing)))
 
-    __slots__ = ("length", "spacing", "marked", "targets", "_tgt_width")
+
+class ShortcutTable:
+    """Marked positions plus packed back-pointers for one permutation.
+
+    marks[i] holds mark bits 64i to 64i + 63; ranks[i] counts the marks in
+    the words before word i, and ranks[-1] counts them all.  targets holds
+    the back-pointers in the order of their marks.
+    """
+
+    __slots__ = ("length", "spacing", "marks", "ranks", "targets", "_tgt_width",
+                 "_steps")
 
     def __init__(self, pi, length, spacing):
         """Build from an evaluator pi over [length]; build-time calls are free."""
@@ -53,9 +76,6 @@ class ShortcutTable:
         image = list(map(pi, range(length)))
         if sorted(image) != list(range(length)):
             raise MalformedInputError("evaluator is not a bijection on [L]")
-        self.length = length
-        self.spacing = spacing
-        self._tgt_width = width(length)
         back = {}
         visited = bytearray(length)
         for start in range(length):
@@ -77,8 +97,16 @@ class ShortcutTable:
             for step in range(0, c, spacing):
                 elem = cycle[(lead + step) % c]
                 back[elem] = cycle[(lead + step - spacing) % c]
-        self.marked = RsBitvector.from_int(sum(1 << x for x in back), length)
+        self._set_marks(sum(1 << x for x in back), length, spacing)
         self.targets = [back[x] for x in sorted(back)]
+
+    def _set_marks(self, value, length, spacing):
+        """Fill every field but targets from the L-bit int of mark bits."""
+        self.length = length
+        self.spacing = spacing
+        self._tgt_width, nwords, code, self._steps = _shape(length, spacing)
+        self.marks = split_fields(value, nwords, WORD)
+        self.ranks = array(code, accumulate(map(int.bit_count, self.marks), initial=0))
 
     def invert(self, q, pi):
         """Return i with pi(i) == q, using at most eval_budget(spacing) calls."""
@@ -98,12 +126,14 @@ class ShortcutTable:
         if not 0 <= q < self.length:
             raise OutOfRangeError(f"value {q} outside [0, {self.length})")
         access = text.access
-        words = self.marked._words
+        marks = self.marks
         x = q
-        for _ in range(eval_budget(self.spacing)):
-            if words is not None and (words[x >> 6] >> (x & 63)) & 1:
-                x = self.targets[self.marked.rank1(x)]
-                words = None  # one back-jump at most
+        for _ in self._steps:
+            if marks is not None and (marks[x >> 6] >> (x & 63)) & 1:
+                # The jump's target is the one of the marks before x.
+                x = self.targets[self.ranks[x >> 6]
+                                 + (marks[x >> 6] & ((1 << (x & 63)) - 1)).bit_count()]
+                marks = None  # one back-jump at most
             c = access(session, start + x)
             y = base[c] + hashes[c].eval(x)
             if y == q:
@@ -121,21 +151,25 @@ class ShortcutTable:
         return len(self.targets) * self._tgt_width
 
     def bits(self):
-        return self.marked.nbits + self.target_bits()
+        """Stored size: L mark bits and the back-pointers."""
+        return self.length + self.target_bits()
+
+    def directory_bits(self):
+        """In-memory mark counts per word, which the file does not store."""
+        return 8 * self.ranks.itemsize * len(self.ranks)
 
     def write(self, bw):
-        bw.write_bv(self.marked)
+        for i, word in enumerate(self.marks):
+            bw.write(word, min(WORD, self.length - WORD * i))
         for t in self.targets:
             bw.write(t, self._tgt_width)
 
     @classmethod
     def read(cls, br, length, spacing):
         tab = object.__new__(cls)
-        tab.length = length
-        tab.spacing = spacing
-        tab._tgt_width = tw = width(length)
-        tab.marked = br.read_bv(length)
-        ones = tab.marked.ones
+        tab._set_marks(br.read(length), length, spacing)
+        ones = tab.ranks[-1]
+        tw = tab._tgt_width
         tab.targets = split_fields(br.read(ones * tw), ones, tw)
         if ones and max(tab.targets) >= length:
             raise CorruptIndexError(f"shortcut target outside [0, {length})")

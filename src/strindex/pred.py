@@ -15,9 +15,14 @@ Layout for m = |T| members over universe [sigma]:
     them verbatim; larger ones use a blind Patricia trie that stores only
     its shape and skip lengths, never keys.  The trie descends on
     the query's own bits, fetches the single reached key to learn the true
-    divergence depth, and re-reads the recorded path - one S call in all.
+    divergence depth, and descends again to that depth - one S call in all.
     A final binary search over the at most k-1 members between neighbouring
     samples finishes the count.
+
+PredIndex.count runs this search as one loop whose every S call is a direct
+call of a block's pi walk (perm.ShortcutTable.walk), with no per-query
+closure; PredIndex.rank(p, fetch) and BlindTrie.predecessor(p, fetch) are
+adapters for a plain accessor.
 """
 
 from __future__ import annotations
@@ -84,41 +89,45 @@ class BlindTrie:
         self.root = 0 if self.branch else ~0
         return self
 
-    def predecessor(self, p, fetch):
-        """Leaf rank of the largest key < p, or None; exactly one fetch.
-
-        Blind two-pass search: descend on p's branching bits, fetch the key
-        of the reached leaf, locate the true divergence depth, then pick the
-        subtree straddling that depth.  All keys below it compare to p the
-        same way, so its leaf range settles the answer.
-        """
+    def leaf(self, p):
+        """Leaf rank reached by branching on p's bits: the one key predecessor
+        fetches."""
         w = self.w
         branch, left, right = self.branch, self.left, self.right
         node = self.root
-        path = []
         while node >= 0:
-            path.append(node)
-            if (p >> (w - 1 - branch[node])) & 1:
-                node = right[node]
-            else:
-                node = left[node]
-        leaf = ~node
-        y = fetch(leaf)
+            node = right[node] if (p >> (w - 1 - branch[node])) & 1 else left[node]
+        return ~node
+
+    def settle(self, p, leaf, y):
+        """Leaf rank of the largest key < p, or None, given y, the key of
+        leaf(p).
+
+        Locates the true divergence depth of p and y, re-descends on p's bits
+        to the subtree straddling that depth, and answers from its leaf
+        range: all keys below it compare to p the same way.
+        """
         if y == p:
             return leaf - 1 if leaf else None
+        w = self.w
         lcp = w - (p ^ y).bit_length()
-        vee = None
-        for cand in path:
-            if branch[cand] > lcp:
-                vee = cand
-                break
-        if vee is None:
+        branch, left, right = self.branch, self.left, self.right
+        node = self.root
+        while node >= 0 and branch[node] <= lcp:
+            node = right[node] if (p >> (w - 1 - branch[node])) & 1 else left[node]
+        if node < 0:
             lo_leaf = hi_leaf = leaf  # divergence inside the leaf edge
         else:
-            lo_leaf, hi_leaf = self.minleaf[vee], self.maxleaf[vee]
+            lo_leaf, hi_leaf = self.minleaf[node], self.maxleaf[node]
         if (p >> (w - 1 - lcp)) & 1:
             return hi_leaf  # whole subtree sits below p
         return lo_leaf - 1 if lo_leaf else None  # whole subtree sits above p
+
+    def predecessor(self, p, fetch):
+        """Leaf rank of the largest key < p, or None; exactly one fetch of a
+        leaf rank's key.  PredIndex.count runs the same two passes."""
+        leaf = self.leaf(p)
+        return self.settle(p, leaf, fetch(leaf))
 
 
 class PredIndex:
@@ -169,51 +178,52 @@ class PredIndex:
         return payload
 
     def rank(self, p, fetch):
-        """Count of members < p; 0 <= p <= sigma.  Enforces the call budget."""
+        """Count of members < p, where fetch(r) is the member of rank r;
+        0 <= p <= sigma.  An adapter over count()."""
+        return self.count(p, lambda r, *_: fetch(r), 0, None, None, None, None, None)
+
+    def count(self, p, walk, first, text, session, start, base, hashes):
+        """Count of members < p; 0 <= p <= sigma.  Enforces the call budget.
+
+        The member of rank r is walk(first + r, text, session, start, base,
+        hashes), as ShortcutTable.walk gives a block's (first + r)-th sorted
+        position; each such S call is counted against the budget.
+        """
+        if p <= 0 or self.m == 0:
+            return 0
         calls = 0
         limit = self._budget
-
-        def s(rank):
-            nonlocal calls
+        if self._top is None:
+            lo, hi = 0, self.m
+        else:
+            j = bisect_left(self._top, p) - 1
+            if j < 0:
+                return 0
+            k = self.k
+            bucket = j * self.g
+            kind, data = self._buckets[j]
+            if kind == _EXPLICIT:
+                local = 0
+                for i, key in enumerate(data):
+                    if key < p:
+                        local = i
+            else:
+                leaf = data.leaf(p)
+                calls = 1  # within every budget, which is at least 3
+                local = data.settle(p, leaf, walk(first + bucket + leaf * k, text,
+                                                  session, start, base, hashes))
+                if local is None:  # sample 0 is top[j] < p unless index and text disagree
+                    raise CorruptIndexError("bucket lost its anchor sample")
+            rho = bucket + local * k
+            lo, hi = rho + 1, min(rho + k, bucket + self.g, self.m)
+        while lo < hi:
             calls += 1
             if calls > limit:
                 raise ProbeBudgetError(
                     f"pred rank exceeded {limit} accessor calls (k={self.k})"
                 )
-            return fetch(rank)
-
-        if p <= 0 or self.m == 0:
-            return 0
-        if self._top is None:
-            lo, hi = 0, self.m
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if s(mid) < p:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return lo
-        j = bisect_left(self._top, p) - 1
-        if j < 0:
-            return 0
-        g, k = self.g, self.k
-        base = j * g
-        bucket_end = min(base + g, self.m)
-        kind, data = self._buckets[j]
-        if kind == _EXPLICIT:
-            local = 0
-            for i, key in enumerate(data):
-                if key < p:
-                    local = i
-        else:
-            local = data.predecessor(p, lambda i: s(base + i * k))
-            if local is None:  # sample 0 is top[j] < p unless index and text disagree
-                raise CorruptIndexError("bucket lost its anchor sample")
-        rho = base + local * k
-        lo, hi = rho + 1, min(rho + k, bucket_end)
-        while lo < hi:
             mid = (lo + hi) // 2
-            if s(mid) < p:
+            if walk(first + mid, text, session, start, base, hashes) < p:
                 lo = mid + 1
             else:
                 hi = mid

@@ -18,6 +18,7 @@ from strindex import (
     MalformedInputError,
     OutOfRangeError,
     PairingError,
+    ProbeBudgetError,
     ProbeSession,
     ProbedText,
     StringIndex,
@@ -38,6 +39,7 @@ from strindex.index import (
     _TAG_Z,
     _TAGS,
 )
+from strindex.pred import _EXPLICIT, _TRIE
 from conftest import brute_rank, brute_select, make_random_text, positions_of
 
 
@@ -438,10 +440,11 @@ def test_space_report_components_sum():
     nblocks = len(ix.blocks)
     assert rep.cross_bits == 0  # the file has no cross section
     assert rep.z_bits == text.n + text.sigma * nblocks
-    vector_dirs = sum(blk.shortcuts.marked.directory_bits for blk in ix.blocks)
+    mark_counts = sum(8 * blk.shortcuts.ranks.itemsize * len(blk.shortcuts.ranks)
+                      for blk in ix.blocks)
     base_bits = 8 * ix.blocks[0].base.itemsize * text.sigma * nblocks
     table_bits = 8 * ix.before.itemsize * text.sigma * (nblocks + 1)
-    assert rep.directory_bits == vector_dirs + base_bits + table_bits
+    assert rep.directory_bits == mark_counts + base_bits + table_bits
 
 
 @st.composite
@@ -603,11 +606,11 @@ def test_shortcut_target_past_the_block_is_corrupt(target):
     # sigma=6: a block's targets take width(6) = 3 bits, which also hold 6 and 7.
     text = make_random_text(60, 6, seed=3)
     ix = build(text, t=2)
-    marked = ix.blocks[0].shortcuts.marked
-    assert marked.ones >= 1
+    shortcuts = ix.blocks[0].shortcuts
+    assert sum(word.bit_count() for word in shortcuts.marks) >= 1
     blob = bytearray(ix.to_bytes())
-    # Block 0's marked bits come first in the section, then its targets.
-    off = 8 * _section(blob, _TAG_SHORT)[0] + marked.nbits
+    # Block 0's mark bits come first in the section, then its targets.
+    off = 8 * _section(blob, _TAG_SHORT)[0] + shortcuts.length
     tw = width(ix.blocks[0].length)
     for i in range(tw):
         byte, bit = divmod(off + i, 8)
@@ -701,3 +704,84 @@ def test_set_padding_bits_are_corrupt(tag):
     blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
     with pytest.raises(CorruptIndexError, match="padding"):
         StringIndex.from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("kind, args", [
+    ("select", (0, 1.5)), ("select", (0, 0.5)), ("select", (0, 1e9)),
+    ("select", ("a", 1)), ("select", (1.0, 1)), ("select", (None, 1)),
+    ("rank", (0, 2.5)), ("rank", (0, 7.5)), ("rank", (1.0, 2)), ("rank", ("a", 2)),
+    ("access", (2.0,)), ("access", (9.0,)), ("access", ("1",)),
+])
+def test_non_integer_query_arguments_are_malformed(sample_text, kind, args):
+    ix = build(sample_text, t=1)
+    with pytest.raises(MalformedInputError, match="must be an integer"):
+        getattr(ix, kind)(sample_text, ProbeSession(), *args)
+    # A bool is an int: True is 1.
+    assert ix.select(sample_text, ProbeSession(), True, True) == 0
+    assert ix.rank(sample_text, ProbeSession(), True, True) == 1
+    assert ix.access(sample_text, ProbeSession(), True) == 0
+
+
+def test_moved_shortcut_target_answers_or_exceeds_the_budget():
+    # sigma=16, t=2, k=2: block 0 holds marks, and sets of more than 7 members
+    # put both bucket kinds on the rank path.
+    text = _zipf_text(64, 16, seed=3)
+    ix = build(text, t=2, k=2)
+    ref = Reference(text)
+    blk = ix.blocks[0]
+    tw = width(blk.length)
+    blob = bytearray(ix.to_bytes())
+    # Block 0's mark bits come first in the section, then its first target.
+    off = 8 * _section(blob, _TAG_SHORT)[0] + blk.length
+    over = answered = 0
+    for target in range(blk.length):
+        if target == blk.shortcuts.targets[0]:
+            continue
+        for i in range(tw):
+            byte, bit = divmod(off + i, 8)
+            blob[byte] = blob[byte] & ~(1 << bit) | ((target >> i) & 1) << bit
+        moved = StringIndex.from_bytes(_restamp(blob))
+        assert moved.blocks[0].shortcuts.targets[0] == target
+        queries = [("select", c, j) for c in range(text.sigma)
+                   for j in range(1, ref.count(c) + 1) if ref.select(c, j) < blk.length]
+        queries += [("rank", c, p) for c in range(text.sigma)
+                    for p in range(1, blk.length + 1)]
+        for kind, c, arg in queries:
+            try:
+                got = getattr(moved, kind)(text, ProbeSession(), c, arg)
+            except ProbeBudgetError:
+                over += 1
+                continue
+            assert got == getattr(ref, kind)(c, arg), (target, kind, c, arg)
+            answered += 1
+    assert over and answered
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rank_loop_agrees_with_its_adapter(k):
+    # sigma=32: buckets of g=5 members, so k=1 and k=2 sample 5 and 3 (a trie)
+    # and k=3 samples 2 (kept verbatim); a bucket's last members, past its
+    # last sample, make the in-bucket binary search.
+    text = _zipf_text(2000, 32, seed=k)
+    ix = build(text, t=2, k=k)
+    paths = Counter()
+    for b, blk in enumerate(ix.blocks):
+        for c, pred in enumerate(blk.preds):
+            if pred is None:
+                continue
+            paths["direct" if pred._top is None else "top"] += 1
+            paths.update(kind for kind, _ in pred._buckets or ())
+            prior = ix.before[c * (len(ix.blocks) + 1) + b]
+            first = blk.base[c]
+            for p_local in range(1, blk.length):
+                s1, s2 = ProbeSession(), ProbeSession()
+                got = ix.rank(text, s1, c, blk.start + p_local)
+
+                def fetch(r):
+                    return blk.shortcuts.walk(first + r, text, s2, blk.start,
+                                              blk.base, blk.hashes)
+
+                assert got == prior + pred.rank(p_local, fetch), (b, c, p_local)
+                assert s1.count == s2.count
+    assert paths["direct"] and paths["top"]
+    assert paths[_TRIE if k < 3 else _EXPLICIT]
