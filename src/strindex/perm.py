@@ -130,7 +130,8 @@ class ShortcutTable:
         x = q
         for _ in self._steps:
             if marks is not None and (marks[x >> 6] >> (x & 63)) & 1:
-                # The jump's target is the one of the marks before x.
+                # x's target is at its rank among the marks: those in the
+                # words before x's, and those below x in its own word.
                 x = self.targets[self.ranks[x >> 6]
                                  + (marks[x >> 6] & ((1 << (x & 63)) - 1)).bit_count()]
                 marks = None  # one back-jump at most
@@ -159,10 +160,13 @@ class ShortcutTable:
         return 8 * self.ranks.itemsize * len(self.ranks)
 
     def write(self, bw):
-        for i, word in enumerate(self.marks):
-            bw.write(word, min(WORD, self.length - WORD * i))
+        """Emit the L mark bits, then each target, as one field."""
+        value = int.from_bytes(array("Q", self.marks).tobytes(), "little")
+        pos = self.length
         for t in self.targets:
-            bw.write(t, self._tgt_width)
+            value |= t << pos
+            pos += self._tgt_width
+        bw.write(value, pos)
 
     @classmethod
     def read(cls, br, length, spacing):
