@@ -15,6 +15,7 @@ one more popcount; the file stores the L mark bits and the targets only.
 
 from __future__ import annotations
 
+import struct
 from array import array
 from functools import lru_cache
 from itertools import accumulate
@@ -161,7 +162,7 @@ class ShortcutTable:
 
     def write(self, bw):
         """Emit the L mark bits, then each target, as one field."""
-        value = int.from_bytes(array("Q", self.marks).tobytes(), "little")
+        value = int.from_bytes(struct.pack(f"<{len(self.marks)}Q", *self.marks), "little")
         pos = self.length
         for t in self.targets:
             value |= t << pos
