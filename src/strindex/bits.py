@@ -289,13 +289,16 @@ class BitWriter:
     def write(self, value, width):
         if width < 0 or value < 0 or (width < value.bit_length()):
             raise ValueError(f"value {value} does not fit in {width} bits")
-        self._acc |= value << self._fill
-        self._fill += width
+        acc = self._acc | value << self._fill
+        fill = self._fill + width
         self._nbits += width
-        while self._fill >= 8:
-            self._buf.append(self._acc & 0xFF)
-            self._acc >>= 8
-            self._fill -= 8
+        if fill >= 8:  # emit every whole byte at once
+            nbytes = fill >> 3
+            self._buf += (acc & ((1 << 8 * nbytes) - 1)).to_bytes(nbytes, "little")
+            acc >>= 8 * nbytes
+            fill &= 7
+        self._acc = acc
+        self._fill = fill
 
     def write_bv(self, bv):
         """Append exactly bv.nbits payload bits (no header, no padding)."""

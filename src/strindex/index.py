@@ -305,7 +305,13 @@ class StringIndex:
             + sum(8 * blk.base.itemsize * len(blk.base) for blk in self.blocks)
             + 8 * self.before.itemsize * len(self.before)
         )
-        total_bits = 8 * len(self.to_bytes())
+        # The length to_bytes() gives, from the section sizes: the hash,
+        # predecessor and shortcut sections each pad to a whole byte.
+        total_bits = 8 * (
+            _HEADER.size + _TABLE_ENTRY.size * len(_TAGS) + len(self.z)
+            + sum((bits + 7) // 8 for bits in (mmphf_bits, pred_bits, shortcut_bits))
+            + _CRC.size
+        )
         component = z_bits + mmphf_bits + pred_bits + shortcut_bits
         if component > total_bits:
             raise AssertionError("component bits exceed serialized size")
@@ -351,12 +357,19 @@ class StringIndex:
 
     def _write_sets(self, attr):
         """The hash ("hashes") or predecessor ("preds") section: each block's
-        sets in symbol order."""
+        set payloads in symbol order, packed into one field, as _read_sets
+        reads them."""
         bw = BitWriter()
         for blk in self.blocks:
+            field = pos = 0
             for s in getattr(blk, attr):
                 if s is not None:
-                    s.write(bw)
+                    size = s.nbits
+                    if size:
+                        field |= s.payload << pos
+                        pos += size
+            if pos:
+                bw.write(field, pos)
         return bw.getvalue()
 
     def _write_short(self):

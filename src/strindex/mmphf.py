@@ -151,11 +151,12 @@ def _bucket(field, size, w, sw):
 class MonotoneHash:
     """Rank-of-member evaluator for a fixed sorted key set; zero probes.
 
-    Every hash keeps the payload int it was decoded from; hashes decoded from
-    equal payloads through one memo are one shared, never-changed object.
+    Every hash keeps the payload int it was decoded from as `payload`, and its
+    size in bits as `nbits`; hashes decoded from equal payloads through one
+    memo are one shared, never-changed object.
     """
 
-    __slots__ = ("m", "u", "_w", "_samples", "_buckets", "_payload", "_nbits")
+    __slots__ = ("m", "u", "_w", "_samples", "_buckets", "payload", "nbits")
 
     def __init__(self, keys, u):
         keys = list(keys)
@@ -231,14 +232,14 @@ class MonotoneHash:
 
     def bits(self):
         """Exact payload size in bits; equals what write() emits."""
-        return self._nbits
+        return self.nbits
 
     # -- serialization -----------------------------------------------------
 
     def write(self, bw):
         """Emit the payload as one field; m and u are carried by the container."""
-        if self._nbits:
-            bw.write(self._payload, self._nbits)
+        if self.nbits:
+            bw.write(self.payload, self.nbits)
 
     @classmethod
     def read(cls, br, m, u, memo=None):
@@ -273,7 +274,7 @@ class MonotoneHash:
         self.u = u
         w, sw = widths or self.widths(u)
         self._w = w
-        self._payload = payload
+        self.payload = payload
         nsamples = max(0, (m + w - 1) // w - 1)
         self._samples = samples = split_fields(payload, nsamples, w)
         if not increasing_below(samples, u):
@@ -290,5 +291,5 @@ class MonotoneHash:
             if bucket is None:
                 bucket = memo[key] = _bucket(field, size, w, sw)
             buckets.append(bucket)
-        self._nbits = pos
+        self.nbits = pos
         return self

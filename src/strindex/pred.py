@@ -133,12 +133,13 @@ class BlindTrie:
 class PredIndex:
     """R(p) over a sorted member set, fetching members through S(rank).
 
-    Every index keeps the payload int it was decoded from; indexes decoded
-    from equal payloads through one memo are one shared, never-changed object.
+    Every index keeps the payload int it was decoded from as `payload`, and
+    its size in bits as `nbits`; indexes decoded from equal payloads through
+    one memo are one shared, never-changed object.
     """
 
     __slots__ = ("m", "sigma", "k", "g", "_w", "_top", "_buckets", "_budget",
-                 "_payload", "_nbits")
+                 "payload", "nbits")
 
     def __init__(self, members, sigma, k):
         members = list(members)
@@ -255,12 +256,12 @@ class PredIndex:
 
     def bits(self):
         """Exact payload size in bits; EMPTY_PRED_BITS when nothing is stored."""
-        return self._nbits
+        return self.nbits
 
     def write(self, bw):
         """Emit the payload as one field; the container carries m, sigma and k."""
-        if self._nbits:
-            bw.write(self._payload, self._nbits)
+        if self.nbits:
+            bw.write(self.payload, self.nbits)
 
     @classmethod
     def read(cls, br, m, sigma, k, memo=None):
@@ -300,8 +301,8 @@ class PredIndex:
         self.g = self._w = w
         self._budget = budget(k)
         self._top = self._buckets = None
-        self._payload = payload
-        self._nbits = EMPTY_PRED_BITS
+        self.payload = payload
+        self.nbits = EMPTY_PRED_BITS
         if m <= DIRECT_LIMIT:
             return self
         ntop = (m + w - 1) // w
@@ -330,5 +331,5 @@ class PredIndex:
                 stored.append(top[j])
         if not increasing_below(stored, sigma):
             raise CorruptIndexError("predecessor samples are not increasing below sigma")
-        self._nbits = pos
+        self.nbits = pos
         return self

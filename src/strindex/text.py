@@ -72,11 +72,13 @@ class ProbedText:
         return self._sigma
 
     def access(self, session, i):
-        """Return s[i], charging one probe.  Out-of-range probes are free."""
+        """Return s[i], charging one probe.  Out-of-range and non-integer
+        probes are free."""
         if not 0 <= i < self._n:
             raise OutOfRangeError(f"position {i} out of range [0, {self._n})")
+        sym = self._payload[i]
         session.count += 1
-        return self._payload[i]
+        return sym
 
     def symbols(self):
         """Uncharged read-only view of the payload, for builders and the

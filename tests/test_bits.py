@@ -115,8 +115,50 @@ def test_bit_writer_reader_round_trip():
 
 def test_bit_writer_rejects_overflow():
     bw = BitWriter()
-    with pytest.raises(ValueError):
-        bw.write(4, 2)
+    bw.write(5, 3)
+    for value, width in [(4, 2), (1, 0), (-1, 8), (0, -1), (1 << 64, 64)]:
+        with pytest.raises(ValueError):
+            bw.write(value, width)
+    assert bw.bit_length == 3 and bw.getvalue() == b"\x05"
+
+
+class _ByteAtATimeWriter:
+    """The reference writer: shifts its accumulator out one byte per step."""
+
+    def __init__(self):
+        self.buf = bytearray()
+        self.acc = self.fill = self.nbits = 0
+
+    def write(self, value, width):
+        self.acc |= value << self.fill
+        self.fill += width
+        self.nbits += width
+        while self.fill >= 8:
+            self.buf.append(self.acc & 0xFF)
+            self.acc >>= 8
+            self.fill -= 8
+
+    def getvalue(self):
+        return bytes(self.buf) + (bytes([self.acc & 0xFF]) if self.fill else b"")
+
+
+@st.composite
+def _fields(draw):
+    """A (value, width) pair with value < 2**width."""
+    w = draw(st.one_of(st.sampled_from([0, 8, 63, 64]), st.integers(1, 7),
+                       st.integers(0, 3000)))
+    return draw(st.integers(0, (1 << w) - 1)), w
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_fields(), max_size=30))
+def test_bit_writer_matches_a_byte_at_a_time_writer(fields):
+    bw, ref = BitWriter(), _ByteAtATimeWriter()
+    for value, w in fields:
+        bw.write(value, w)
+        ref.write(value, w)
+        assert bw.bit_length == ref.nbits
+        assert bw.getvalue() == ref.getvalue()
 
 
 def test_write_bv_read_bv_round_trip():

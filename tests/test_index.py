@@ -9,7 +9,7 @@ from collections import Counter
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strindex import (
@@ -29,7 +29,7 @@ from strindex import (
     select_budget,
 )
 from strindex.audit import Reference, make_workload
-from strindex.bits import BitReader, typecode, unary_counts, width
+from strindex.bits import BitReader, BitWriter, typecode, unary_counts, width
 from strindex.index import (
     _HEADER,
     _TABLE_ENTRY,
@@ -448,6 +448,58 @@ def test_space_report_components_sum():
 
 
 @st.composite
+def _section_texts(draw):
+    """(symbols, sigma, k): blocks of distinct symbols, whose sets store
+    nothing, of a few heavy symbols, whose sets store wide payloads, or of
+    any symbols; the last block may be partial."""
+    sigma = draw(st.integers(2, 64))
+    symbols = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["distinct", "heavy", "any"]))
+        if kind == "distinct":
+            symbols += draw(st.permutations(range(sigma)))
+        else:
+            pool = (st.integers(0, sigma - 1) if kind == "any" else
+                    st.sampled_from(draw(st.lists(st.integers(0, sigma - 1),
+                                                  min_size=1, max_size=3))))
+            symbols += draw(st.lists(pool, min_size=sigma, max_size=sigma))
+    if len(symbols) > sigma and draw(st.booleans()):
+        del symbols[-draw(st.integers(1, sigma - 1)):]
+    return symbols, sigma, draw(st.integers(1, max_k(sigma)))
+
+
+# Block 0 stores nothing in either set section; in block 1, symbol 0's hash
+# and predecessor payloads are each wider than 64 bits.
+_EDGE_TEXT = (list(range(64)) + [0] * 40 + list(range(1, 25)), 64, 2)
+
+
+def test_edge_text_has_an_empty_block_and_a_wide_payload():
+    symbols, sigma, k = _EDGE_TEXT
+    ix = build(ProbedText(symbols, sigma), t=2, k=k)
+    for attr in ("hashes", "preds"):
+        sizes = [[s.bits() for s in getattr(blk, attr) if s is not None]
+                 for blk in ix.blocks]
+        assert sum(sizes[0]) == 0 and max(sizes[1]) > 64
+
+
+@settings(deadline=None, max_examples=100)
+@given(_section_texts())
+@example(_EDGE_TEXT)
+def test_set_sections_are_the_per_set_writes(case):
+    symbols, sigma, k = case
+    ix = build(ProbedText(symbols, sigma), t=2, k=k)
+    for attr in ("hashes", "preds"):
+        bw = BitWriter()
+        for blk in ix.blocks:
+            for s in getattr(blk, attr):
+                if s is not None:
+                    s.write(bw)
+        assert ix._write_sets(attr) == bw.getvalue()
+    blob = ix.to_bytes()
+    assert StringIndex.from_bytes(blob).to_bytes() == blob
+
+
+@st.composite
 def _texts_with_gaps(draw):
     """Blocks drawn from palettes held over runs of blocks, so a symbol can be
     missing from many blocks in a row; the last block may be partial."""
@@ -596,7 +648,7 @@ def test_block_sets_are_per_symbol_tuples_none_where_absent():
                 for c, m in counts.items():
                     assert sets[c].m == m
                     # Sets with equal payloads are one object.
-                    key = (type(sets[c]), m, sets[c]._payload)
+                    key = (type(sets[c]), m, sets[c].payload)
                     assert shared.setdefault(key, sets[c]) is sets[c]
         assert len(shared) < sum(h is not None for blk in index.blocks for h in blk.hashes)
 
@@ -714,8 +766,11 @@ def test_set_padding_bits_are_corrupt(tag):
 ])
 def test_non_integer_query_arguments_are_malformed(sample_text, kind, args):
     ix = build(sample_text, t=1)
+    session = ProbeSession()
     with pytest.raises(MalformedInputError, match="must be an integer"):
-        getattr(ix, kind)(sample_text, ProbeSession(), *args)
+        getattr(ix, kind)(sample_text, session, *args)
+    if kind == "access":
+        assert session.count == 0  # a failed access charges no probe
     # A bool is an int: True is 1.
     assert ix.select(sample_text, ProbeSession(), True, True) == 0
     assert ix.rank(sample_text, ProbeSession(), True, True) == 1

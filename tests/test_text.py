@@ -102,6 +102,8 @@ def test_access_out_of_range_is_uncharged(sample_text):
         sample_text.access(sess, 6)
     with pytest.raises(OutOfRangeError):
         sample_text.access(sess, -1)
+    with pytest.raises(TypeError):
+        sample_text.access(sess, 2.0)
     assert sess.count == 0
 
 
