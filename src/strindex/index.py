@@ -26,7 +26,7 @@ import zlib
 from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from operator import index
 
 from .bits import BitReader, BitWriter, typecode, unary_counts, unary_section, width
@@ -102,7 +102,7 @@ class SpaceReport:
     shortcut_bits: int
     shortcut_target_bits: int
     header_bits: int
-    directory_bits: int  # in-memory shortcut mark counts and count tables; not stored
+    directory_bits: int  # in-memory shortcut jump arrays and count tables; not stored
     total_bits: int
 
     def as_dict(self):
@@ -414,7 +414,7 @@ class StringIndex:
             raise CorruptIndexError("Z section length disagrees with the header")
         lengths = [min(sigma, n - b * sigma) for b in range(nblocks)]
         counts = unary_counts(sections[_TAG_Z], lengths, sigma)
-        charsets = [[c for c in range(sigma) if cnt[c]] for cnt in counts]
+        charsets = [list(compress(range(sigma), cnt)) for cnt in counts]
 
         hashes_per_block = _read_sets(sections[_TAG_MMPHF], counts, charsets,
                                       MonotoneHash, sigma)
@@ -422,7 +422,7 @@ class StringIndex:
                                      PredIndex, sigma, k)
 
         br = BitReader(sections[_TAG_SHORT])
-        shortcuts = [ShortcutTable.read(br, lengths[b], t) for b in range(nblocks)]
+        shortcuts = ShortcutTable.read_blocks(br, lengths, t)
         _finish_section(br, sections[_TAG_SHORT])
 
         # Checked after the parses, so that each of them names its fault: the
@@ -495,7 +495,10 @@ def _read_sets(section, counts, charsets, cls, *params):
         ms = list(filter(None, cnt))  # the m of each symbol in chars
         nbits = list(map(sizes.__getitem__, ms))
         total = sum(nbits)
-        field = br.read(total) if total else 0
+        if not total:  # every set of the block stores nothing
+            out.append(tuple(map(empty.get, cnt)))
+            continue
+        field = br.read(total)
         sets = [None] * len(cnt)
         for c, m, size in zip(chars, ms, nbits):
             if size:

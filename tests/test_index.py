@@ -440,11 +440,11 @@ def test_space_report_components_sum():
     nblocks = len(ix.blocks)
     assert rep.cross_bits == 0  # the file has no cross section
     assert rep.z_bits == text.n + text.sigma * nblocks
-    mark_counts = sum(8 * blk.shortcuts.ranks.itemsize * len(blk.shortcuts.ranks)
-                      for blk in ix.blocks)
+    jump_bits = sum(8 * blk.shortcuts.jumps.itemsize * len(blk.shortcuts.jumps)
+                    for blk in ix.blocks)
     base_bits = 8 * ix.blocks[0].base.itemsize * text.sigma * nblocks
     table_bits = 8 * ix.before.itemsize * text.sigma * (nblocks + 1)
-    assert rep.directory_bits == mark_counts + base_bits + table_bits
+    assert rep.directory_bits == jump_bits + base_bits + table_bits
 
 
 @st.composite

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strindex import MalformedInputError, ProbeBudgetError, ShortcutTable
-from strindex.bits import BitReader, BitWriter
+from strindex import CorruptIndexError, MalformedInputError, ProbeBudgetError, ShortcutTable
+from strindex.bits import BitReader, BitWriter, typecode
 from strindex.perm import eval_budget
 
 
@@ -172,13 +172,127 @@ def test_write_read_round_trip_keeps_marks_and_word_counts(length, spacing, rng)
     back = ShortcutTable.read(BitReader(bw.getvalue()), length, spacing)
     marks = bits_of(bw.getvalue())[:length]  # the section starts with the marks
     for table in (tab, back):
-        assert len(table.marks) == len(table.ranks) - 1 == (length + 63) // 64
+        assert len(table.marks) == (length + 63) // 64
+        assert len(table.jumps) == length
         for i, word in enumerate(table.marks):
             assert word == int(marks[64 * i:64 * i + 64][::-1], 2)
-            assert table.ranks[i] == marks[:64 * i].count("1")
-        assert table.ranks[-1] == marks.count("1") == len(table.targets)
+            assert sum(map(bool, table.jumps[:64 * i])) == marks[:64 * i].count("1")
+        assert sum(map(bool, table.jumps)) == marks.count("1") == len(table.targets)
     assert back.targets == tab.targets
     for q in range(length):
         pi = CountingPi(image)
         assert image[back.invert(q, pi)] == q
         assert pi.calls <= eval_budget(spacing)
+
+
+def permutation_with_cycle(length, spacing, rng):
+    """A random permutation of [length] that holds a cycle of exactly
+    `spacing` elements when length >= spacing; that cycle's one mark
+    targets itself."""
+    items = list(range(length))
+    rng.shuffle(items)
+    cycle, rest = items[:spacing], items[spacing:]
+    image = [0] * length
+    for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+        image[x] = y
+    for x, y in zip(rest, rng.sample(rest, len(rest))):
+        image[x] = y
+    return image
+
+
+def assert_jumps_follow_the_stored_bits(table, data):
+    """jumps[x] is 1 + x's target for each x marked in the stored bits, whose
+    targets follow the L mark bits in mark order, and 0 everywhere else."""
+    length = table.length
+    bits = bits_of(data)
+    marked = [x for x in range(length) if bits[x] == "1"]
+    width = max(1, (length - 1).bit_length())
+    stored = [int(bits[length + i * width:length + (i + 1) * width][::-1], 2)
+              for i in range(len(marked))]
+    assert list(table.targets) == stored
+    want = [0] * length
+    for x, target in zip(marked, stored):
+        want[x] = target + 1
+    assert list(table.jumps) == want
+    assert table.jumps.typecode == table.targets.typecode == typecode(length)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([0, 1, 63, 64, 65, 300]), st.integers(1, 8),
+       st.randoms(use_true_random=False))
+def test_jumps_hold_one_plus_each_marks_target(length, spacing, rng):
+    image = permutation_with_cycle(length, spacing, rng)
+    tab = ShortcutTable(image.__getitem__, length, spacing)
+    bw = BitWriter()
+    tab.write(bw)
+    data = bw.getvalue()
+    back = ShortcutTable.read(BitReader(data), length, spacing)
+    for table in (tab, back):
+        assert_jumps_follow_the_stored_bits(table, data)
+    assert back.jumps == tab.jumps
+    assert back.marks == tab.marks
+    assert back.targets == tab.targets
+    if 2 <= spacing <= length:  # the spacing-long cycle's mark jumps to itself
+        assert any(j == x + 1 for x, j in enumerate(tab.jumps))
+    for q in range(length):
+        pi = CountingPi(image)
+        assert image[back.invert(q, pi)] == q
+        assert pi.calls <= eval_budget(spacing)
+
+
+@pytest.mark.parametrize("lengths", [
+    # 60,000 puts jumps among the code points 0xD800-0xDFFF, which a str
+    # holds but plain UTF-16 cannot encode; the short tables that follow
+    # take narrower items than the first.
+    [60000, 300, 300, 70, 1],
+    [70000, 5],  # 32-bit items
+    [64] * 300 + [32],  # several runs of tables, and a shorter last one
+    [],
+])
+def test_read_blocks_reads_what_each_table_wrote(lengths):
+    rng = random.Random(14)
+    tables = []
+    bw = BitWriter()
+    for length in lengths:
+        image = list(range(length))
+        rng.shuffle(image)
+        tables.append(ShortcutTable(image.__getitem__, length, 16))
+        tables[-1].write(bw)
+    br = BitReader(bw.getvalue())
+    back = ShortcutTable.read_blocks(br, lengths, 16)
+    assert br.bits_consumed == bw.bit_length
+    assert len(back) == len(tables)
+    for tab, got in zip(tables, back):
+        assert got.jumps.typecode == tab.jumps.typecode == typecode(tab.length)
+        assert got.jumps == tab.jumps
+        assert got.marks == tab.marks
+        assert got.targets == tab.targets
+    if lengths[:1] == [60000]:
+        assert max(tables[0].jumps) > 0xD800
+
+
+@pytest.mark.parametrize("length, target", [(255, 255), (255, 254), (300, 300), (300, 511)])
+def test_a_target_past_its_table_is_corrupt(length, target):
+    # At L = 255 a target takes all 8 bits of its 8-bit item, so the last
+    # one being 255 would also overflow the item that holds 1 + it.
+    image = [(x + 1) % length for x in range(length)]
+    tab = ShortcutTable(image.__getitem__, length, 1)
+    assert len(tab.targets) == length
+    bw = BitWriter()
+    tab.targets[-1] = min(target, length - 1)
+    tab.write(bw)
+    field = int.from_bytes(bw.getvalue(), "little")
+    width = (length - 1).bit_length()
+    top = bw.bit_length - width  # the last target's field
+    field = field & ~(((1 << width) - 1) << top) | target << top
+    data = field.to_bytes(len(bw.getvalue()), "little")
+    if target < length:
+        assert ShortcutTable.read(BitReader(data), length, 1).targets[-1] == target
+        return
+    for lengths in ([length], [length + 1, length]):  # as the longest, and a shorter
+        prefix = BitWriter()
+        if len(lengths) == 2:
+            ShortcutTable(list(range(length + 1)).__getitem__, length + 1, 1).write(prefix)
+        prefix.write(field, bw.bit_length)
+        with pytest.raises(CorruptIndexError, match="shortcut target outside"):
+            ShortcutTable.read_blocks(BitReader(prefix.getvalue()), lengths, 1)

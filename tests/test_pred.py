@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strindex import MalformedInputError, PredIndex
+from strindex import MalformedInputError, PredIndex, ProbeBudgetError
 from strindex.bits import BitReader, BitWriter, width
 from strindex.pred import (
     DIRECT_LIMIT,
@@ -266,3 +266,24 @@ def test_encode_rejects_what_the_constructor_rejects(members, sigma, k):
         PredIndex.encode(members, sigma, k)
     with pytest.raises(MalformedInputError):
         PredIndex(members, sigma, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_count_raises_once_its_calls_pass_the_budget(k):
+    # A search within budget(k) never meets the check, so the budget is cut
+    # below what the costliest search needs and that search must raise.  At
+    # k = 1 no binary search follows the bucket, and the check is not met.
+    members = list(range(1, 64, 3))  # 21 members: top keys and buckets
+    ix = PredIndex(members, 64, k)
+    assert ix.m > DIRECT_LIMIT
+    needed = {}
+    for p in range(65):
+        fetch = CountingFetch(members)
+        assert ix.rank(p, fetch) == sum(1 for x in members if x < p)
+        needed[p] = fetch.calls
+    p = max(needed, key=needed.get)
+    assert needed[p] >= 1
+    ix._budget = needed[p] - 1
+    with pytest.raises(ProbeBudgetError, match=rf"pred rank exceeded {needed[p] - 1} "
+                                               rf"accessor calls \(k={k}\)"):
+        ix.rank(p, CountingFetch(members))
