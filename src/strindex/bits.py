@@ -39,32 +39,6 @@ def split_fields(value, count, w):
     return [(value >> (i * w)) & mask for i in range(count)]
 
 
-def widen_fields(value, count, w, lane):
-    """The int whose bits lane*i onward hold field i of the `count`
-    consecutive w-bit fields of `value`, for a lane of 8 * 2^j >= w bits.
-
-    Its little-endian bytes are then an array of the fields, which no
-    Python step per field has made: field i moves by i * (lane - w) bits,
-    and pass b moves every field whose index has bit b set by its share
-    2^b * (lane - w), highest b first, with one mask over the whole int.
-    Before pass b the fields form packed groups of 2^(b+1), one group
-    starting every 2^(b+1) lanes; the pass moves each group's upper half.
-    """
-    nbytes = (count * lane + 7) // 8
-    b = max(count - 1, 0).bit_length()
-    while b:
-        b -= 1
-        half = 1 << b
-        period = half * lane // 4  # bytes per group of 2 * half lanes
-        upper = ((1 << half * w) - 1) << half * w
-        mask = int.from_bytes(upper.to_bytes(period, "little") * (nbytes // period + 1),
-                              "little")
-        moved = value & mask
-        value ^= moved
-        value |= moved << half * (lane - w)
-    return value
-
-
 class BitBuilder:
     """Accumulates bits one at a time and freezes into an RsBitvector."""
 

@@ -154,7 +154,7 @@ class StringIndex:
                 f"k={k} outside [1, {max_k(sigma)}] for sigma={sigma}"
             )
         symbols = text.symbols()
-        # Each set is encoded to the payload write() emits and decoded through
+        # Each set is encoded to the payload the file stores and decoded through
         # the memo load uses, so equal sets share one immutable object.
         hash_widths = MonotoneHash.widths(sigma)
         pred_widths = PredIndex.widths(sigma, k)
@@ -422,7 +422,7 @@ class StringIndex:
                                      PredIndex, sigma, k)
 
         br = BitReader(sections[_TAG_SHORT])
-        shortcuts = ShortcutTable.read_blocks(br, lengths, t)
+        shortcuts = [ShortcutTable.read(br, length, t) for length in lengths]
         _finish_section(br, sections[_TAG_SHORT])
 
         # Checked after the parses, so that each of them names its fault: the

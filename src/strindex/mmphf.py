@@ -164,7 +164,7 @@ class MonotoneHash:
 
     @staticmethod
     def encode(keys, u, widths=None):
-        """The payload write() emits for the strictly increasing keys over [u].
+        """The payload stored for the strictly increasing keys over [u].
 
         Samples come first, w bits each, then each bucket in turn: nothing
         for one key, the branch depth in sw bits for two, and encode_trie for
@@ -219,7 +219,7 @@ class MonotoneHash:
 
     @staticmethod
     def payload_bits(m, u):
-        """Payload size of every hash of m keys over [u]; what write() emits.
+        """Payload size of every hash of m keys over [u], as encode() makes it.
 
         Samples take (ceil(m / beta) - 1) * w bits; a pair bucket takes sw;
         a trie over s keys has s - 1 internal nodes, so (2s - 1) + (s - 1) * sw.
@@ -231,19 +231,14 @@ class MonotoneHash:
         return samples + full * _bucket_bits(w, sw) + _bucket_bits(rest, sw)
 
     def bits(self):
-        """Exact payload size in bits; equals what write() emits."""
+        """Exact payload size in bits; the field the index stores for this set."""
         return self.nbits
 
     # -- serialization -----------------------------------------------------
 
-    def write(self, bw):
-        """Emit the payload as one field; m and u are carried by the container."""
-        if self.nbits:
-            bw.write(self.payload, self.nbits)
-
     @classmethod
     def read(cls, br, m, u, memo=None):
-        """Rebuild from a payload previously produced by write().
+        """Rebuild from a payload that encode() made, read from br.
 
         The payload is read as one field of payload_bits(m, u) bits.  `memo`
         belongs to one load of hashes over the same u; see shared().

@@ -8,31 +8,28 @@ most one back-jump at the first marked element, and walks on until the
 predecessor shows up; the gap structure bounds the forward evaluations by
 2 * spacing + 1.  walk() is that one loop, with a block's pi step inlined.
 
-In memory a table also holds its jump array, one entry per element: 1 plus
-the element's target where it is marked, 0 elsewhere.  So a step tests its
-mark and finds its back-jump with one array read.  The file stores the L
-mark bits and the targets only; load fills the targets and jump arrays of
-a run of tables at once, each table slicing its own from the run's.
+A table holds the back-pointers once, in its jump array: 1 plus the
+element's target where it is marked, 0 elsewhere, so a step tests its mark
+and finds its back-jump with one array read.  Beside it a table keeps its
+L mark bits as one int, so that save need not rebuild them from the jump
+array.  The file stores those bits and then the targets in mark order;
+save takes the targets from the nonzero jump entries, and load puts
+1 + each target at its mark.
 """
 
 from __future__ import annotations
 
-import struct
-import sys
 from array import array
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 
-from .bits import WORD, split_fields, typecode, widen_fields, width
+from .bits import split_fields, typecode, width
 from .errors import (
     CorruptIndexError,
     MalformedInputError,
     OutOfRangeError,
     ProbeBudgetError,
 )
-
-#: Maps the character "0" to the byte 0: see _spread.
-_TEMPLATE = bytes.maketrans(b"0", b"\0")
 
 
 class _Forward:
@@ -59,10 +56,8 @@ def eval_budget(spacing):
 @lru_cache(maxsize=32)
 def _shape(length, spacing):
     """What every table over [length] at this spacing shares: its target
-    width, its mark word count, the typecode of its targets and jumps, and
-    walk's step range."""
-    return (width(length), (length + WORD - 1) // WORD, typecode(length),
-            range(eval_budget(spacing)))
+    width, the typecode of its jumps, and walk's step range."""
+    return width(length), typecode(length), range(eval_budget(spacing))
 
 
 def _zeros(code, length):
@@ -70,42 +65,15 @@ def _zeros(code, length):
     return array(code, bytes(array(code).itemsize * length))
 
 
-def _items(code, value, count):
-    """The array of `count` items at typecode `code` whose little-endian
-    bytes are those of the int `value`."""
-    items = array(code, value.to_bytes(count * array(code).itemsize, "little"))
-    if sys.byteorder == "big":
-        items.byteswap()
-    return items
-
-
-def _spread(bits, items):
-    """The array of items' typecode with one item per character of the
-    "0"/"1" string `bits`: items[i] at the i-th "1", 0 at every "0".
-
-    It is made in C by %-formatting one bytes template, a NUL for each "0"
-    and %c for each "1", once per byte of an item: pass k fills byte k of
-    every item, so one template serves every item width.
-    """
-    raw = items.tobytes()
-    size = items.itemsize
-    template = bits.encode().translate(_TEMPLATE).replace(b"1", b"%c")
-    out = bytearray(len(bits) * size)
-    for k in range(size):
-        out[k::size] = template % tuple(raw[k::size])
-    return array(items.typecode, out)
-
-
 class ShortcutTable:
     """Marked positions plus packed back-pointers for one permutation.
 
-    marks[i] holds mark bits 64i to 64i + 63, and targets the back-pointers
-    in the order of their marks: the stored form.  jumps[x] is 1 + x's
-    target where x is marked and 0 elsewhere, which is what walk() reads.
+    marks holds the L mark bits, bit x for element x: the stored form.
+    jumps[x] is 1 + x's target where x is marked and 0 elsewhere, which is
+    what walk() reads and the only copy of the targets.
     """
 
-    __slots__ = ("length", "spacing", "marks", "targets", "jumps", "_tgt_width",
-                 "_steps")
+    __slots__ = ("length", "spacing", "marks", "jumps", "_tgt_width", "_steps")
 
     def __init__(self, pi, length, spacing):
         """Build from an evaluator pi over [length]; build-time calls are free."""
@@ -116,8 +84,9 @@ class ShortcutTable:
             raise MalformedInputError("evaluator is not a bijection on [L]")
         self.length = length
         self.spacing = spacing
-        self._tgt_width, nwords, code, self._steps = _shape(length, spacing)
+        self._tgt_width, code, self._steps = _shape(length, spacing)
         self.jumps = jumps = _zeros(code, length)
+        marks = 0
         visited = bytearray(length)
         for start in range(length):
             if visited[start]:
@@ -136,10 +105,10 @@ class ShortcutTable:
                 continue
             lead = cycle.index(min(cycle))
             for step in range(0, c, spacing):
-                jumps[cycle[(lead + step) % c]] = cycle[(lead + step - spacing) % c] + 1
-        marked = list(compress(range(length), jumps))
-        self.marks = split_fields(sum(1 << x for x in marked), nwords, WORD)
-        self.targets = array(code, [jumps[x] - 1 for x in marked])
+                x = cycle[(lead + step) % c]
+                jumps[x] = cycle[(lead + step - spacing) % c] + 1
+                marks |= 1 << x
+        self.marks = marks
 
     def invert(self, q, pi):
         """Return i with pi(i) == q, using at most eval_budget(spacing) calls."""
@@ -181,7 +150,7 @@ class ShortcutTable:
 
     def target_bits(self):
         """Back-pointer array only: count of marks times ceil(log2 L)."""
-        return len(self.targets) * self._tgt_width
+        return self.marks.bit_count() * self._tgt_width
 
     def bits(self):
         """Stored size: L mark bits and the back-pointers."""
@@ -192,108 +161,33 @@ class ShortcutTable:
         return 8 * self.jumps.itemsize * len(self.jumps)
 
     def write(self, bw):
-        """Emit the L mark bits, then each target, as one field."""
-        value = int.from_bytes(struct.pack(f"<{len(self.marks)}Q", *self.marks), "little")
+        """Emit the L mark bits, then each target in mark order, as one field."""
+        value = self.marks
         pos = self.length
-        for t in self.targets:
-            value |= t << pos
-            pos += self._tgt_width
+        tw = self._tgt_width
+        for j in filter(None, self.jumps):
+            value |= (j - 1) << pos
+            pos += tw
         bw.write(value, pos)
 
     @classmethod
     def read(cls, br, length, spacing):
         """One table over [length], as write() emitted it, from br."""
-        return cls.read_blocks(br, [length], spacing)[0]
-
-    @classmethod
-    def read_blocks(cls, br, lengths, spacing):
-        """The tables over [L] for each L of `lengths`, as their write()
-        calls emitted them one after another, from br.
-
-        Each table's fields are read in turn, and each run of tables that
-        spans _RUN positions gets its targets and jumps at once (_fill_run),
-        which keeps the strings and arrays a load makes on the way to a few
-        tens of KB each.
-        """
-        top = max(lengths, default=0)
-        tables = []
-        run = []  # (table, mark bits, target bits) of the current run
-        size = 0  # positions in the current run
-        for length in lengths:
-            tw, nwords, _, steps = _shape(length, spacing)
-            marks = br.read(length)
-            tab = object.__new__(cls)
-            tab.length = length
-            tab.spacing = spacing
-            tab._tgt_width = tw
-            tab._steps = steps
-            tab.marks = split_fields(marks, nwords, WORD)
-            run.append((tab, marks, br.read(marks.bit_count() * tw)))
-            tables.append(tab)
-            size += length
-            if size >= _RUN:
-                _fill_run(run, top)
-                run = []
-                size = 0
-        _fill_run(run, top)
-        return tables
-
-
-#: Positions per run of tables that read_blocks fills at once.
-_RUN = 8192
-
-
-def _bits(value, length):
-    """The `length`-bit binary string of value, highest bit first."""
-    return format(value | 1 << length, "b")[1:]
-
-
-def _fill_run(run, top):
-    """Give each table of run, a list of (table, mark bits, target bits)
-    read from consecutive tables over [L] with L <= top, its targets and
-    jumps, at typecode(L).
-
-    The run's targets, each widened to top's target width, go into one int
-    with the first target lowest, and widen_fields moves each to an item of
-    its own.  The run's marks, as one string highest bit first, place 1 +
-    each target at its mark with _spread; each table slices both arrays.
-    """
-    code = typecode(top)
-    lane = 8 * array(code).itemsize
-    tw_top = width(top)
-    counts = [marks.bit_count() for _, marks, _ in run]
-    fields = []  # each table's targets, last table first, highest bit first
-    for (tab, _, targets), ones in zip(reversed(run), reversed(counts)):
-        tw = tab._tgt_width
-        field = _bits(targets, ones * tw)
-        if tw != tw_top:  # the narrower targets of a shorter block
-            field = "".join(field[i:i + tw].rjust(tw_top, "0")
-                            for i in range(0, len(field), tw))
-        fields.append(field)
-    total = sum(counts)
-    value = widen_fields(int("".join(fields) or "0", 2), total, tw_top, lane)
-    every = _items(code, value, total)
-    if total and max(every) >= top:
-        raise CorruptIndexError(f"shortcut target outside [0, {top})")
-    # 1 + each target, added lane by lane: no target reaches 2^lane - 1.
-    # The marks run from the last one to the first, and so do the values.
-    plus_one = int.from_bytes((1).to_bytes(lane // 8, "little") * total, "little")
-    marks = "".join([_bits(marks, tab.length) for tab, marks, _ in reversed(run)])
-    jumps = _items(code, value + plus_one, total)
-    jumps.reverse()
-    jumps = _spread(marks, jumps)
-    jumps.reverse()
-    first = start = 0
-    for (tab, _, _), ones in zip(run, counts):
-        length = tab.length
-        tab.targets = every[first:first + ones]
-        tab.jumps = jumps[start:start + length]
-        if length != top:  # a shorter block, maybe with narrower items
-            if ones and max(tab.targets) >= length:
-                raise CorruptIndexError(f"shortcut target outside [0, {length})")
-            narrow = typecode(length)
-            if narrow != code:
-                tab.targets = array(narrow, tab.targets)
-                tab.jumps = array(narrow, tab.jumps)
-        first += ones
-        start += length
+        tab = object.__new__(cls)
+        tab.length = length
+        tab.spacing = spacing
+        tw, code, tab._steps = _shape(length, spacing)
+        tab._tgt_width = tw
+        tab.marks = marks = br.read(length)
+        ones = marks.bit_count()
+        targets = split_fields(br.read(ones * tw), ones, tw)
+        # Checked first: at L = 255 a target of 255 would not fit its
+        # 8-bit jump entry as 1 + target.
+        if ones and max(targets) >= length:
+            raise CorruptIndexError(f"shortcut target outside [0, {length})")
+        tab.jumps = jumps = _zeros(code, length)
+        # The mark bits as bytes, lowest first: a NUL where unmarked.
+        flags = format(marks, "b").encode()[::-1].replace(b"0", b"\0")
+        for x, target in zip(compress(count(), flags), targets):
+            jumps[x] = target + 1
+        return tab

@@ -147,7 +147,7 @@ class PredIndex:
 
     @staticmethod
     def encode(members, sigma, k, widths=None):
-        """The payload write() emits for strictly increasing members of [sigma].
+        """The payload stored for strictly increasing members of [sigma].
 
         Nothing up to DIRECT_LIMIT members.  Otherwise every g-th member
         (the top keys) in w = g bits each, then each bucket in turn: its
@@ -258,14 +258,9 @@ class PredIndex:
         """Exact payload size in bits; EMPTY_PRED_BITS when nothing is stored."""
         return self.nbits
 
-    def write(self, bw):
-        """Emit the payload as one field; the container carries m, sigma and k."""
-        if self.nbits:
-            bw.write(self.payload, self.nbits)
-
     @classmethod
     def read(cls, br, m, sigma, k, memo=None):
-        """Rebuild from a payload previously produced by write().
+        """Rebuild from a payload that encode() made, read from br.
 
         The payload is read as one field of payload_bits(m, sigma, k) bits.
         `memo` belongs to one load of sets over the same sigma and k; see

@@ -11,10 +11,8 @@ from strindex.bits import (
     BitWriter,
     CorruptIndexError,
     _select_in_word,
-    split_fields,
     unary_counts,
     unary_section,
-    widen_fields,
     width,
 )
 
@@ -259,15 +257,3 @@ def test_select_matches_a_scan_across_superblocks(nbits, density):
         v.select0(len(zeros) + 1)
     with pytest.raises(NotFoundError):
         v.select1(len(ones) + 1)
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.data())
-def test_widen_fields_moves_each_field_to_its_lane(data):
-    lane = data.draw(st.sampled_from([8, 16, 32, 64]))
-    w = data.draw(st.integers(1, lane))
-    count = data.draw(st.integers(0, 300))
-    value = data.draw(st.integers(0, (1 << count * w) - 1))
-    wide = widen_fields(value, count, w, lane)
-    assert wide.bit_length() <= count * lane
-    assert split_fields(wide, count, lane) == split_fields(value, count, w)

@@ -28,7 +28,7 @@ def test_empty_set():
     assert h.bits() == 0
     assert 0 <= h.eval(5) <= 0
     bw = BitWriter()
-    h.write(bw)
+    bw.write(h.payload, h.nbits)
     assert bw.getvalue() == b""
     assert MonotoneHash.read(BitReader(b""), 0, 8).eval(5) == 0
 
@@ -75,7 +75,7 @@ def test_build_rejects_malformed():
 
 def _payload(h):
     bw = BitWriter()
-    h.write(bw)
+    bw.write(h.payload, h.nbits)
     return bw.getvalue()
 
 
@@ -107,7 +107,7 @@ def test_embedded_write_read_round_trip():
     keys = list(range(0, 300, 7))
     h = MonotoneHash(keys, 512)
     bw = BitWriter()
-    h.write(bw)
+    bw.write(h.payload, h.nbits)
     assert bw.bit_length == h.bits()
     g = MonotoneHash.read(BitReader(bw.getvalue()), h.m, h.u)
     for rank, key in enumerate(keys):
@@ -150,7 +150,7 @@ def test_payload_size_depends_only_on_m_and_u(data):
     keys = sorted(data.draw(st.sets(st.integers(0, u - 1), max_size=120)))
     h = MonotoneHash(keys, u)
     bw = BitWriter()
-    h.write(bw)
+    bw.write(h.payload, h.nbits)
     assert MonotoneHash.payload_bits(len(keys), u) == h.bits() == bw.bit_length
     g = MonotoneHash.read(BitReader(bw.getvalue()), len(keys), u)
     for rank, key in enumerate(keys):
@@ -170,7 +170,7 @@ def test_eval_over_several_buckets(data):
     for x in data.draw(st.lists(st.integers(0, u - 1), max_size=40)):
         assert 0 <= h.eval(x) < max(len(keys), 1)
     bw = BitWriter()
-    h.write(bw)
+    bw.write(h.payload, h.nbits)
     g = MonotoneHash.read(BitReader(bw.getvalue()), len(keys), u)
     assert [g.eval(x) for x in range(min(u, 512))] == [h.eval(x) for x in range(min(u, 512))]
 
@@ -184,7 +184,8 @@ def test_equal_buckets_are_one_object_through_one_memo():
                 for _ in range(15)]
         bw = BitWriter()
         for keys in sets:
-            MonotoneHash(keys, u).write(bw)
+            h = MonotoneHash(keys, u)
+            bw.write(h.payload, h.nbits)
         streams.append((sets, bw.getvalue()))
     memo = {}
     hashes = []
@@ -206,7 +207,8 @@ def test_equal_buckets_are_one_object_through_one_memo():
 def test_read_shares_equal_payloads_through_memo():
     bw = BitWriter()
     for keys in ([3, 9], [1, 3], [2, 9], [5]):  # [3, 9] and [2, 9] split at bit 0
-        MonotoneHash(keys, 16).write(bw)
+        h = MonotoneHash(keys, 16)
+        bw.write(h.payload, h.nbits)
     br = BitReader(bw.getvalue())
     memo = {}
     a, b, c, d = (MonotoneHash.read(br, m, 16, memo) for m in (2, 2, 2, 1))
@@ -281,7 +283,8 @@ def test_encode_is_the_recorded_payload(keys, u, nbits, payload):
     assert MonotoneHash.encode(keys, u) == payload
     assert MonotoneHash.payload_bits(len(keys), u) == nbits
     bw = BitWriter()
-    MonotoneHash(keys, u).write(bw)
+    h = MonotoneHash(keys, u)
+    bw.write(h.payload, h.nbits)
     assert bw.bit_length == nbits
     assert bw.getvalue() == payload.to_bytes((nbits + 7) // 8, "little")
 

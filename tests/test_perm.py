@@ -21,8 +21,8 @@ class CountingPi:
 
 
 def ones(tab):
-    """Marks of a table, counted from its mark words."""
-    return sum(word.bit_count() for word in tab.marks)
+    """Marks of a table, counted from its mark bits."""
+    return tab.marks.bit_count()
 
 
 def invert_all(image, spacing):
@@ -172,13 +172,12 @@ def test_write_read_round_trip_keeps_marks_and_word_counts(length, spacing, rng)
     back = ShortcutTable.read(BitReader(bw.getvalue()), length, spacing)
     marks = bits_of(bw.getvalue())[:length]  # the section starts with the marks
     for table in (tab, back):
-        assert len(table.marks) == (length + 63) // 64
+        assert table.marks == int(marks[::-1], 2)
         assert len(table.jumps) == length
-        for i, word in enumerate(table.marks):
-            assert word == int(marks[64 * i:64 * i + 64][::-1], 2)
+        for i in range((length + 63) // 64):  # the marks before each 64-bit word
             assert sum(map(bool, table.jumps[:64 * i])) == marks[:64 * i].count("1")
-        assert sum(map(bool, table.jumps)) == marks.count("1") == len(table.targets)
-    assert back.targets == tab.targets
+        assert sum(map(bool, table.jumps)) == marks.count("1") == ones(table)
+    assert back.jumps == tab.jumps
     for q in range(length):
         pi = CountingPi(image)
         assert image[back.invert(q, pi)] == q
@@ -209,12 +208,13 @@ def assert_jumps_follow_the_stored_bits(table, data):
     width = max(1, (length - 1).bit_length())
     stored = [int(bits[length + i * width:length + (i + 1) * width][::-1], 2)
               for i in range(len(marked))]
-    assert list(table.targets) == stored
+    assert table.marks == sum(1 << x for x in marked)
+    assert [j - 1 for j in table.jumps if j] == stored
     want = [0] * length
     for x, target in zip(marked, stored):
         want[x] = target + 1
     assert list(table.jumps) == want
-    assert table.jumps.typecode == table.targets.typecode == typecode(length)
+    assert table.jumps.typecode == typecode(length)
 
 
 @settings(deadline=None, max_examples=60)
@@ -231,7 +231,6 @@ def test_jumps_hold_one_plus_each_marks_target(length, spacing, rng):
         assert_jumps_follow_the_stored_bits(table, data)
     assert back.jumps == tab.jumps
     assert back.marks == tab.marks
-    assert back.targets == tab.targets
     if 2 <= spacing <= length:  # the spacing-long cycle's mark jumps to itself
         assert any(j == x + 1 for x, j in enumerate(tab.jumps))
     for q in range(length):
@@ -256,14 +255,12 @@ def test_read_blocks_reads_what_each_table_wrote(lengths):
         tables.append(ShortcutTable(image.__getitem__, length, 16))
         tables[-1].write(bw)
     br = BitReader(bw.getvalue())
-    back = ShortcutTable.read_blocks(br, lengths, 16)
+    back = [ShortcutTable.read(br, length, 16) for length in lengths]
     assert br.bits_consumed == bw.bit_length
-    assert len(back) == len(tables)
     for tab, got in zip(tables, back):
         assert got.jumps.typecode == tab.jumps.typecode == typecode(tab.length)
         assert got.jumps == tab.jumps
         assert got.marks == tab.marks
-        assert got.targets == tab.targets
 
 
 @pytest.mark.parametrize("length, target", [(255, 255), (255, 254), (300, 300), (300, 511)])
@@ -272,9 +269,9 @@ def test_a_target_past_its_table_is_corrupt(length, target):
     # one being 255 would also overflow the item that holds 1 + it.
     image = [(x + 1) % length for x in range(length)]
     tab = ShortcutTable(image.__getitem__, length, 1)
-    assert len(tab.targets) == length
+    assert ones(tab) == length  # so the last target is element length - 1's
     bw = BitWriter()
-    tab.targets[-1] = min(target, length - 1)
+    tab.jumps[-1] = min(target, length - 1) + 1
     tab.write(bw)
     field = int.from_bytes(bw.getvalue(), "little")
     width = (length - 1).bit_length()
@@ -282,12 +279,16 @@ def test_a_target_past_its_table_is_corrupt(length, target):
     field = field & ~(((1 << width) - 1) << top) | target << top
     data = field.to_bytes(len(bw.getvalue()), "little")
     if target < length:
-        assert ShortcutTable.read(BitReader(data), length, 1).targets[-1] == target
+        assert ShortcutTable.read(BitReader(data), length, 1).jumps[-1] == target + 1
         return
-    for lengths in ([length], [length + 1, length]):  # as the longest, and a shorter
+    longer = ShortcutTable(list(range(length + 1)).__getitem__, length + 1, 1)
+    for after_longer in (False, True):  # alone, and read after a longer table
         prefix = BitWriter()
-        if len(lengths) == 2:
-            ShortcutTable(list(range(length + 1)).__getitem__, length + 1, 1).write(prefix)
+        if after_longer:
+            longer.write(prefix)
         prefix.write(field, bw.bit_length)
+        br = BitReader(prefix.getvalue())
+        if after_longer:
+            assert ShortcutTable.read(br, length + 1, 1).jumps == longer.jumps
         with pytest.raises(CorruptIndexError, match="shortcut target outside"):
-            ShortcutTable.read_blocks(BitReader(prefix.getvalue()), lengths, 1)
+            ShortcutTable.read(br, length, 1)

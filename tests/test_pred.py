@@ -125,11 +125,11 @@ def test_serialization_round_trip():
     for k in (1, 3, width(sigma)):
         ix = PredIndex(members, sigma, k)
         bw = BitWriter()
-        ix.write(bw)
+        bw.write(ix.payload, ix.nbits)
         assert bw.bit_length == ix.bits()
         g = PredIndex.read(BitReader(bw.getvalue()), ix.m, sigma, k)
         bw2 = BitWriter()
-        g.write(bw2)
+        bw2.write(g.payload, g.nbits)
         assert bw2.getvalue() == bw.getvalue()
         for p in [0, sigma] + [rng.randrange(sigma + 1) for _ in range(100)]:
             want = sum(1 for x in members if x < p)
@@ -219,11 +219,11 @@ def test_payload_size_depends_only_on_m_sigma_and_k(data):
     members = sorted(data.draw(st.sets(st.integers(0, sigma - 1), max_size=150)))
     ix = PredIndex(members, sigma, k)
     bw = BitWriter()
-    ix.write(bw)
+    bw.write(ix.payload, ix.nbits)
     assert PredIndex.payload_bits(len(members), sigma, k) == ix.bits() == bw.bit_length
     g = PredIndex.read(BitReader(bw.getvalue()), len(members), sigma, k)
     bw2 = BitWriter()
-    g.write(bw2)
+    bw2.write(g.payload, g.nbits)
     assert bw2.getvalue() == bw.getvalue()
 
 
@@ -252,7 +252,8 @@ def test_encode_is_the_recorded_payload(members, sigma, k, nbits, payload):
     assert PredIndex.encode(members, sigma, k) == payload
     assert PredIndex.payload_bits(len(members), sigma, k) == nbits
     bw = BitWriter()
-    PredIndex(members, sigma, k).write(bw)
+    ix = PredIndex(members, sigma, k)
+    bw.write(ix.payload, ix.nbits)
     assert bw.bit_length == nbits
     assert bw.getvalue() == payload.to_bytes((nbits + 7) // 8, "little")
 
