@@ -15,7 +15,6 @@ from .errors import (
 )
 from .index import SpaceReport, StringIndex, build, max_k, rank_budget, select_budget
 from .mmphf import MonotoneHash
-from .oracle import scan_rank, scan_select
 from .perm import ShortcutTable
 from .pred import BlindTrie, PredIndex
 from .text import FORMATS, ProbedText, ProbeSession, load
@@ -47,7 +46,5 @@ __all__ = [
     "load",
     "max_k",
     "rank_budget",
-    "scan_rank",
-    "scan_select",
     "select_budget",
 ]

@@ -32,8 +32,8 @@ BUDGET_C = 8
 CONTAINER_ALLOWANCE_BITS = 2048
 
 CSV_COLUMNS = (
-    "n", "sigma", "t", "k", "r_bits", "z_bits", "cross_bits", "mmphf_bits",
-    "pred_bits", "shortcut_bits", "rank_probes_max", "select_probes_max", "seed",
+    "n", "sigma", "t", "k", "r_bits", "z_bits", "mmphf_bits", "pred_bits",
+    "shortcut_bits", "rank_probes_max", "select_probes_max", "seed",
 )
 
 
@@ -48,7 +48,6 @@ class BenchRecord:
     seed: int
     r_bits: int
     z_bits: int
-    cross_bits: int
     mmphf_bits: int
     pred_bits: int
     shortcut_bits: int
@@ -68,8 +67,8 @@ class BenchRecord:
 class Reference:
     """Bisect-based rank/select reference over the raw symbols.
 
-    Equivalent to the scanning oracle (asserted in tests) but fast enough to
-    stand behind large randomized workloads.
+    Equivalent to a linear scan (asserted in tests) but fast enough to stand
+    behind large randomized workloads.
     """
 
     def __init__(self, text):
@@ -188,7 +187,6 @@ def sweep(text, t_list, k_list, queries=1000, seed=0):
                 seed=seed,
                 r_bits=report.total_bits,
                 z_bits=report.z_bits,
-                cross_bits=report.cross_bits,
                 mmphf_bits=report.mmphf_bits,
                 pred_bits=report.pred_bits,
                 shortcut_bits=report.shortcut_bits,

@@ -39,7 +39,7 @@ from .errors import (
     ProbeBudgetError,
     StrindexError,
 )
-from .mmphf import MonotoneHash
+from .mmphf import MonotoneHash, shared
 from .perm import ShortcutTable, eval_budget
 from .pred import DIRECT_LIMIT, PredIndex, budget as scall_budget
 
@@ -156,8 +156,6 @@ class StringIndex:
         symbols = text.symbols()
         # Each set is encoded to the payload the file stores and decoded through
         # the memo load uses, so equal sets share one immutable object.
-        hash_widths = MonotoneHash.widths(sigma)
-        pred_widths = PredIndex.widths(sigma, k)
         hash_memo, pred_memo = {}, {}
         base_row = _row(sigma, sigma)
         blocks = []
@@ -173,15 +171,10 @@ class StringIndex:
             for c in chars:
                 keys = occ[c]
                 m = counts[c] = len(keys)
-                hashes[c] = MonotoneHash.shared(
-                    MonotoneHash.encode(keys, sigma, hash_widths) if m > 1 else 0,
-                    m, sigma, hash_memo, hash_widths,
-                )
-                preds[c] = PredIndex.shared(
-                    PredIndex.encode(keys, sigma, k, pred_widths)
-                    if m > DIRECT_LIMIT else 0,
-                    m, sigma, k, pred_memo, pred_widths,
-                )
+                payload = MonotoneHash.encode(keys, sigma) if m > 1 else 0
+                hashes[c] = shared(MonotoneHash, payload, m, (sigma,), hash_memo)
+                payload = PredIndex.encode(keys, sigma, k) if m > DIRECT_LIMIT else 0
+                preds[c] = shared(PredIndex, payload, m, (sigma, k), pred_memo)
             base = _prefix_counts(counts, base_row)
             pi = [0] * length
             for c in chars:
@@ -417,9 +410,9 @@ class StringIndex:
         charsets = [list(compress(range(sigma), cnt)) for cnt in counts]
 
         hashes_per_block = _read_sets(sections[_TAG_MMPHF], counts, charsets,
-                                      MonotoneHash, sigma)
+                                      MonotoneHash, (sigma,))
         preds_per_block = _read_sets(sections[_TAG_PRED], counts, charsets,
-                                     PredIndex, sigma, k)
+                                     PredIndex, (sigma, k))
 
         br = BitReader(sections[_TAG_SHORT])
         shortcuts = [ShortcutTable.read(br, length, t) for length in lengths]
@@ -472,11 +465,11 @@ def _routing_table(block_counts):
     return table
 
 
-def _read_sets(section, counts, charsets, cls, *params):
+def _read_sets(section, counts, charsets, cls, params):
     """Per block, the tuple whose entry c is the cls set of counts[b][c]
     members, None where that count is 0, from a hash or predecessor section;
-    params are what cls.widths, cls.payload_bits and cls.shared take after
-    m, such as sigma and k.
+    params are what cls.payload_bits takes after m, (sigma,) or (sigma, k),
+    as mmphf.shared takes them.
 
     A payload's size depends only on m, so each block's payloads are read
     as one field and split.  A memo that lives for this call only lets sets
@@ -485,10 +478,9 @@ def _read_sets(section, counts, charsets, cls, *params):
     """
     br = BitReader(section)
     memo = {}
-    widths = cls.widths(*params)
     sizes = {m: cls.payload_bits(m, *params)
              for m in set(chain.from_iterable(counts)) if m}
-    empty = {m: cls.shared(0, m, *params, memo, widths)
+    empty = {m: shared(cls, 0, m, params, memo)
              for m, size in sizes.items() if not size}
     out = []
     for cnt, chars in zip(counts, charsets):
@@ -502,9 +494,8 @@ def _read_sets(section, counts, charsets, cls, *params):
         sets = [None] * len(cnt)
         for c, m, size in zip(chars, ms, nbits):
             if size:
-                key = (m, field & ((1 << size) - 1))
+                sets[c] = shared(cls, field & ((1 << size) - 1), m, params, memo)
                 field >>= size
-                sets[c] = memo.get(key) or cls.shared(key[1], m, *params, memo, widths)
             else:
                 sets[c] = empty[m]
         out.append(tuple(sets))

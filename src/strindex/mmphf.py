@@ -21,11 +21,17 @@ leaf ~rank.  A one-key bucket is the shared empty triple and a two-key bucket
 a one-node trie; equal triples decoded through one memo are one object.
 Evaluation is a binary search over separators, when there are any, plus one
 short descent.
+
+This module also holds the codec that pred.PredIndex shares: widths(u), the
+trie payload (encode_trie, decode_trie, trie_bits) and shared(), the memo
+through which build, load and read decode every set; pred.BlindTrie keeps
+the same (shift, left, right) trie form, plus each node's leaf range.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import cache
 from itertools import islice
 from operator import lt
 
@@ -94,14 +100,15 @@ def decode_trie(payload, nleaves, w, sw):
     """Parse a preorder shape-and-skip trie from the bits of the int `payload`.
 
     This is the layout of a hash bucket and of pred.BlindTrie: a leaf is a
-    0 bit; an internal node is a 1 bit and its skip in sw bits.  Returns
-    (branch, left, right, minleaf, maxleaf), where each node's first and
-    last leaf rank follow from the shape.  Raises CorruptIndexError unless
-    every branch depth is < w and there are exactly nleaves leaves, so that
-    the trie is exactly trie_bits(nleaves, sw) bits long.  encode_trie is
-    its inverse.
+    0 bit; an internal node is a 1 bit and its skip in sw bits.  Returns the
+    tuples (shift, left, right, minleaf, maxleaf): node i tests bit shift[i]
+    of a key (shift = w - 1 - its branch depth), a child < 0 is the leaf
+    ~rank, and each node's first and last leaf rank follow from the shape.
+    Raises CorruptIndexError unless every branch depth is < w and there are
+    exactly nleaves leaves, so that the trie is exactly trie_bits(nleaves, sw)
+    bits long.  encode_trie is its inverse.
     """
-    branch, left, right, minleaf = [], [], [], []
+    shift, left, right, minleaf = [], [], [], []
     skip_mask = (1 << sw) - 1
     pos = leaves = 0
     # (children list, node, depth) of each child still to parse, next on
@@ -112,12 +119,12 @@ def decode_trie(payload, nleaves, w, sw):
         bit = (payload >> pos) & 1
         pos += 1
         if bit:
-            child = len(branch)
+            child = len(shift)
             d = depth + ((payload >> pos) & skip_mask)
             if d >= w or child == nleaves - 1:
                 raise CorruptIndexError("trie node past the key width or the leaf count")
             pos += sw
-            branch.append(d)
+            shift.append(w - 1 - d)
             left.append(0)
             right.append(0)
             minleaf.append(leaves)
@@ -131,11 +138,11 @@ def decode_trie(payload, nleaves, w, sw):
     if leaves != nleaves:
         raise CorruptIndexError("trie leaf count disagrees with bucket size")
     # A subtree's last leaf is its right subtree's; children follow parents.
-    maxleaf = [0] * len(branch)
-    for node in reversed(range(len(branch))):
+    maxleaf = [0] * len(shift)
+    for node in reversed(range(len(shift))):
         r = right[node]
         maxleaf[node] = maxleaf[r] if r >= 0 else ~r
-    return branch, left, right, minleaf, maxleaf
+    return tuple(shift), tuple(left), tuple(right), tuple(minleaf), tuple(maxleaf)
 
 
 def _bucket(field, size, w, sw):
@@ -144,8 +151,32 @@ def _bucket(field, size, w, sw):
         if field >= w:
             raise CorruptIndexError("pair bucket the encoder cannot produce")
         return (w - 1 - field,), (~0,), (~1,)
-    branch, left, right, _, _ = decode_trie(field, size, w, sw)
-    return tuple(w - 1 - d for d in branch), tuple(left), tuple(right)
+    return decode_trie(field, size, w, sw)[:3]
+
+
+@cache  # build asks once per encoded set
+def widths(u):
+    """(w, sw) of every set over [u]: the key width, also the bucket size of a
+    hash (beta) and of a predecessor set (g), and the trie skip width."""
+    w = width(u)
+    return w, width(w)
+
+
+def shared(cls, payload, m, params, memo):
+    """The cls set of m members decoded from the int `payload`; params are
+    what cls._decode takes after m and before memo: (u,) for a MonotoneHash,
+    (sigma, k) for a pred.PredIndex.
+
+    `memo` belongs to one build or load of sets of cls over the same params.
+    It maps (m, payload) to the set already decoded from it, and a bucket's
+    key to its flat trie; a hit is returned again, since neither is ever
+    changed after construction.
+    """
+    key = (m, payload)
+    s = memo.get(key)
+    if s is None:
+        s = memo[key] = object.__new__(cls)._decode(payload, m, *params, memo)
+    return s
 
 
 class MonotoneHash:
@@ -163,18 +194,17 @@ class MonotoneHash:
         self._decode(self.encode(keys, u), len(keys), u, {})
 
     @staticmethod
-    def encode(keys, u, widths=None):
+    def encode(keys, u):
         """The payload stored for the strictly increasing keys over [u].
 
         Samples come first, w bits each, then each bucket in turn: nothing
         for one key, the branch depth in sw bits for two, and encode_trie for
-        more.  `widths` is widths(u), for a caller that
-        encodes many sets over one u.
+        more.
         """
         if u < 1:
             raise MalformedInputError(f"universe size must be positive, got {u}")
         require_increasing_below(keys, u, "keys")
-        w, sw = widths or MonotoneHash.widths(u)
+        w, sw = widths(u)
         m = len(keys)
         payload = pos = 0
         for key in keys[w::w]:
@@ -212,19 +242,13 @@ class MonotoneHash:
     # -- size accounting ---------------------------------------------------
 
     @staticmethod
-    def widths(u):
-        """(w, sw): the key width, which is also beta, and the skip width."""
-        w = width(u)
-        return w, width(w)
-
-    @staticmethod
     def payload_bits(m, u):
         """Payload size of every hash of m keys over [u], as encode() makes it.
 
         Samples take (ceil(m / beta) - 1) * w bits; a pair bucket takes sw;
         a trie over s keys has s - 1 internal nodes, so (2s - 1) + (s - 1) * sw.
         """
-        w, sw = MonotoneHash.widths(u)
+        w, sw = widths(u)
         full, rest = divmod(m, w)
         # Every bucket but the first is preceded by its w-bit separator.
         samples = max(0, full + (rest > 0) - 1) * w
@@ -244,30 +268,15 @@ class MonotoneHash:
         belongs to one load of hashes over the same u; see shared().
         """
         payload = br.read(cls.payload_bits(m, u))
-        return cls.shared(payload, m, u, {} if memo is None else memo)
+        return shared(cls, payload, m, (u,), {} if memo is None else memo)
 
-    @classmethod
-    def shared(cls, payload, m, u, memo, widths=None):
-        """The hash of m keys over [u] decoded from the int `payload`.
-
-        `memo` belongs to one build or load of hashes over the same u.  It
-        maps (m, payload) to the hash already decoded from it and
-        (_bucket, s, bits) to the flat trie of a bucket of s keys;
-        a hit is returned again, since neither is ever changed after
-        construction.  `widths` is widths(u), as for encode().
-        """
-        key = (m, payload)
-        h = memo.get(key)
-        if h is None:
-            h = memo[key] = object.__new__(cls)._decode(payload, m, u, memo, widths)
-        return h
-
-    def _decode(self, payload, m, u, memo, widths=None):
-        """Fill self from the int `payload`; raise CorruptIndexError on any
+    def _decode(self, payload, m, u, memo):
+        """Fill self from the int `payload`, memoising each bucket's flat trie
+        under (_bucket, s, bits) in `memo`; raise CorruptIndexError on any
         field that encode() cannot produce."""
         self.m = m
         self.u = u
-        w, sw = widths or self.widths(u)
+        w, sw = widths(u)
         self._w = w
         self.payload = payload
         nsamples = max(0, (m + w - 1) // w - 1)

@@ -22,7 +22,8 @@ Layout for m = |T| members over universe [sigma]:
 PredIndex.count runs this search as one loop whose every S call is a direct
 call of a block's pi walk (perm.ShortcutTable.walk), with no per-query
 closure; PredIndex.rank(p, fetch) and BlindTrie.predecessor(p, fetch) are
-adapters for a plain accessor.
+adapters for a plain accessor.  The widths, the trie payload and the shared()
+memo are mmphf's, the one codec of both set kinds.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .mmphf import (
     encode_trie,
     increasing_below,
     require_increasing_below,
+    shared,
     trie_bits,
+    widths,
 )
 
 #: Largest member count answered by storing nothing at all: a binary search
@@ -66,12 +69,13 @@ def _bucket_bits(size, k, w, sw):
 class BlindTrie:
     """Compacted binary trie over w-bit keys storing no key material.
 
-    Internal nodes carry their branching bit depth; leaves are implicit
-    in-order ranks 0, 1, 2, ..., so the shape gives each subtree's leaf-rank
-    range.
+    It has the flat (shift, left, right) form of a hash bucket, where node i
+    tests bit shift[i] of a key; leaves are implicit in-order ranks 0, 1, 2,
+    ..., so the shape gives each subtree's leaf-rank range, minleaf[i] to
+    maxleaf[i].
     """
 
-    __slots__ = ("nleaves", "w", "root", "branch", "left", "right", "minleaf", "maxleaf")
+    __slots__ = ("nleaves", "root", "shift", "left", "right", "minleaf", "maxleaf")
 
     def __init__(self, keys, w):
         keys = list(keys)
@@ -83,43 +87,40 @@ class BlindTrie:
     def _decode(self, payload, nleaves, w, sw):
         """Fill self from an encode_trie payload; see mmphf.decode_trie."""
         self.nleaves = nleaves
-        self.w = w
-        (self.branch, self.left, self.right, self.minleaf,
+        (self.shift, self.left, self.right, self.minleaf,
          self.maxleaf) = decode_trie(payload, nleaves, w, sw)
-        self.root = 0 if self.branch else ~0
+        self.root = 0 if self.shift else ~0
         return self
 
     def leaf(self, p):
         """Leaf rank reached by branching on p's bits: the one key predecessor
         fetches."""
-        w = self.w
-        branch, left, right = self.branch, self.left, self.right
+        shift, left, right = self.shift, self.left, self.right
         node = self.root
         while node >= 0:
-            node = right[node] if (p >> (w - 1 - branch[node])) & 1 else left[node]
+            node = right[node] if (p >> shift[node]) & 1 else left[node]
         return ~node
 
     def settle(self, p, leaf, y):
         """Leaf rank of the largest key < p, or None, given y, the key of
         leaf(p).
 
-        Locates the true divergence depth of p and y, re-descends on p's bits
-        to the subtree straddling that depth, and answers from its leaf
+        Locates the highest bit, cut, where p and y differ, re-descends on
+        p's bits to the subtree straddling it, and answers from its leaf
         range: all keys below it compare to p the same way.
         """
         if y == p:
             return leaf - 1 if leaf else None
-        w = self.w
-        lcp = w - (p ^ y).bit_length()
-        branch, left, right = self.branch, self.left, self.right
+        cut = (p ^ y).bit_length() - 1
+        shift, left, right = self.shift, self.left, self.right
         node = self.root
-        while node >= 0 and branch[node] <= lcp:
-            node = right[node] if (p >> (w - 1 - branch[node])) & 1 else left[node]
+        while node >= 0 and shift[node] >= cut:
+            node = right[node] if (p >> shift[node]) & 1 else left[node]
         if node < 0:
             lo_leaf = hi_leaf = leaf  # divergence inside the leaf edge
         else:
             lo_leaf, hi_leaf = self.minleaf[node], self.maxleaf[node]
-        if (p >> (w - 1 - lcp)) & 1:
+        if (p >> cut) & 1:
             return hi_leaf  # whole subtree sits below p
         return lo_leaf - 1 if lo_leaf else None  # whole subtree sits above p
 
@@ -138,7 +139,7 @@ class PredIndex:
     one memo are one shared, never-changed object.
     """
 
-    __slots__ = ("m", "sigma", "k", "g", "_w", "_top", "_buckets", "_budget",
+    __slots__ = ("m", "sigma", "k", "g", "_top", "_buckets", "_budget",
                  "payload", "nbits")
 
     def __init__(self, members, sigma, k):
@@ -146,23 +147,21 @@ class PredIndex:
         self._decode(self.encode(members, sigma, k), len(members), sigma, k, {})
 
     @staticmethod
-    def encode(members, sigma, k, widths=None):
+    def encode(members, sigma, k):
         """The payload stored for strictly increasing members of [sigma].
 
         Nothing up to DIRECT_LIMIT members.  Otherwise every g-th member
         (the top keys) in w = g bits each, then each bucket in turn: its
         samples past the first in w bits each, or, past two samples, their
-        encode_trie.  `widths` is widths(sigma, k), for a caller that encodes
-        many sets over one sigma and k.
+        encode_trie.
         """
-        g = width(sigma)
-        if not 1 <= k <= g:
-            raise MalformedInputError(f"k={k} outside [1, {g}]")
+        w, sw = widths(sigma)
+        if not 1 <= k <= w:
+            raise MalformedInputError(f"k={k} outside [1, {w}]")
         require_increasing_below(members, sigma, "members")
         m = len(members)
         if m <= DIRECT_LIMIT:
             return 0
-        w, sw = widths or PredIndex.widths(sigma, k)
         payload = pos = 0
         for key in members[::w]:
             payload |= key << pos
@@ -233,13 +232,6 @@ class PredIndex:
     # -- size accounting and serialization ----------------------------------
 
     @staticmethod
-    def widths(sigma, k):
-        """(w, sw): the key and top-sampling width, and the trie skip width;
-        the same for every k."""
-        w = width(sigma)
-        return w, width(w)
-
-    @staticmethod
     def payload_bits(m, sigma, k):
         """Payload size of every set of m members over [sigma] at rate k.
 
@@ -249,7 +241,7 @@ class PredIndex:
         """
         if m <= DIRECT_LIMIT:
             return EMPTY_PRED_BITS
-        w, sw = PredIndex.widths(sigma, k)
+        w, sw = widths(sigma)
         full, rest = divmod(m, w)
         total = full * (w + _bucket_bits(w, k, w, sw))
         return total + (w + _bucket_bits(rest, k, w, sw) if rest else 0)
@@ -264,36 +256,20 @@ class PredIndex:
 
         The payload is read as one field of payload_bits(m, sigma, k) bits.
         `memo` belongs to one load of sets over the same sigma and k; see
-        shared().
+        mmphf.shared().
         """
         payload = br.read(cls.payload_bits(m, sigma, k))
-        return cls.shared(payload, m, sigma, k, {} if memo is None else memo)
+        return shared(cls, payload, m, (sigma, k), {} if memo is None else memo)
 
-    @classmethod
-    def shared(cls, payload, m, sigma, k, memo, widths=None):
-        """The index of m members over [sigma] decoded from the int `payload`.
-
-        `memo` belongs to one build or load of sets over the same sigma and
-        k.  It maps (m, payload) to the index already decoded from it and
-        (BlindTrie, L, bits) to a bucket trie; a hit is returned again,
-        since neither is ever changed after construction.  `widths` is
-        widths(sigma, k), as for encode().
-        """
-        key = (m, payload)
-        ix = memo.get(key)
-        if ix is None:
-            ix = memo[key] = object.__new__(cls)._decode(payload, m, sigma, k, memo,
-                                                         widths)
-        return ix
-
-    def _decode(self, payload, m, sigma, k, memo, widths=None):
-        """Fill self from the int `payload`; raise CorruptIndexError on any
-        field that encode() cannot produce."""
+    def _decode(self, payload, m, sigma, k, memo):
+        """Fill self from the int `payload`, memoising each bucket trie under
+        (BlindTrie, L, bits) in `memo`; raise CorruptIndexError on any field
+        that encode() cannot produce."""
         self.m = m
         self.sigma = sigma
         self.k = k
-        w, sw = widths or self.widths(sigma, k)
-        self.g = self._w = w
+        w, sw = widths(sigma)
+        self.g = w
         self._budget = budget(k)
         self._top = self._buckets = None
         self.payload = payload

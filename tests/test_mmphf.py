@@ -10,11 +10,14 @@ from strindex.bits import BitReader, BitWriter, width
 from strindex.mmphf import (
     SIZE_C,
     SIZE_CPRIME,
+    _bucket,
     _bucket_bits,
     decode_trie,
     encode_trie,
     trie_bits,
+    widths,
 )
+from strindex.pred import BlindTrie
 
 
 def test_two_keys():
@@ -95,7 +98,7 @@ def test_serialization_round_trip():
 
 @pytest.mark.parametrize("u", [1, 2, 3, 5, 16, 17, 255, 1024, 65537, 1 << 40])
 def test_payload_bits_closed_form_equals_the_bucket_loop(u):
-    w, sw = MonotoneHash.widths(u)
+    w, sw = widths(u)
     for m in range(3 * w + 1):
         # One w-bit separator before every bucket but the first.
         loop = max(0, sum(w + _bucket_bits(min(w, m - lo), sw)
@@ -217,28 +220,28 @@ def test_read_shares_equal_payloads_through_memo():
 
 
 def _reference_shape(keys, w):
-    """(branch, left, right, minleaf, maxleaf) of the compacted trie, built
+    """(shift, left, right, minleaf, maxleaf) of the compacted trie, built
     top-down by splitting each key range at its first key with a 1 at the
-    depth where the range's first and last keys differ."""
-    branch, left, right, minleaf, maxleaf = [], [], [], [], []
+    highest bit where the range's first and last keys differ."""
+    shift, left, right, minleaf, maxleaf = [], [], [], [], []
 
     def rec(lo, hi):
         if hi - lo == 1:
             return ~lo
-        d = w - (keys[lo] ^ keys[hi - 1]).bit_length()
-        node = len(branch)
-        branch.append(d)
+        bit = (keys[lo] ^ keys[hi - 1]).bit_length() - 1
+        node = len(shift)
+        shift.append(bit)
         minleaf.append(lo)
         maxleaf.append(hi - 1)
         left.append(0)
         right.append(0)
-        split = next(i for i in range(lo, hi) if (keys[i] >> (w - 1 - d)) & 1)
+        split = next(i for i in range(lo, hi) if (keys[i] >> bit) & 1)
         left[node] = rec(lo, split)
         right[node] = rec(split, hi)
         return node
 
     rec(0, len(keys))
-    return branch, left, right, minleaf, maxleaf
+    return tuple(map(tuple, (shift, left, right, minleaf, maxleaf)))
 
 
 @settings(deadline=None, max_examples=300)
@@ -259,6 +262,22 @@ def test_decode_trie_inverts_encode_trie(data):
     # ... and the last of them is the last leaf's 0 bit.
     with pytest.raises(CorruptIndexError):
         decode_trie(payload | 1 << (size - 1), s, w, sw)
+
+
+@pytest.mark.parametrize("keys, w", [
+    ([3, 9, 17, 40, 41], 6), ([0, 1, 2], 2), (list(range(5, 1024, 85)), 10),
+])
+def test_hash_bucket_and_blind_trie_are_one_trie_form(keys, w):
+    """One encode_trie payload decodes to the same (shift, left, right) nodes
+    as a hash bucket and as a predecessor bucket trie."""
+    sw = width(w)
+    payload = encode_trie(keys, w, sw)
+    bucket = _bucket(payload, len(keys), w, sw)
+    trie = object.__new__(BlindTrie)._decode(payload, len(keys), w, sw)
+    nodes = list(zip(*bucket))
+    assert nodes == list(zip(trie.shift, trie.left, trie.right))
+    assert len(nodes) == len(keys) - 1
+    assert all(0 <= shift < w for shift, _, _ in nodes)
 
 
 # Recorded payloads that write() emits: (keys, u, payload_bits, payload in hex).

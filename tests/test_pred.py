@@ -14,6 +14,7 @@ from strindex.pred import (
     _bucket_bits,
     budget,
 )
+from strindex.mmphf import widths
 
 
 class CountingFetch:
@@ -202,7 +203,7 @@ def test_trie_randomized_wide_keys():
 @pytest.mark.parametrize("sigma", [2, 3, 8, 9, 64, 1000, 1024, 65537])
 def test_payload_bits_closed_form_equals_the_bucket_loop(sigma):
     for k in range(1, width(sigma) + 1):
-        w, sw = PredIndex.widths(sigma, k)
+        w, sw = widths(sigma)
         for m in range(3 * w + 1):
             # One w-bit top key per bucket, then its samples past the first.
             loop = sum(w + _bucket_bits(min(w, m - base), k, w, sw)
