@@ -44,7 +44,7 @@ from .perm import ShortcutTable, eval_budget
 from .pred import DIRECT_LIMIT, PredIndex, budget as scall_budget
 
 MAGIC = b"SSIX"
-VERSION = 2
+VERSION = 3
 
 _TAG_Z = 2
 _TAG_MMPHF = 3

@@ -1,15 +1,17 @@
 """Probe-counted access to a read-only symbol sequence.
 
 Everything downstream sees symbols only through ProbedText.access, which
-charges exactly one probe to the caller's session.  Builders and the scanning
-oracle read through symbols(), which is deliberately uncharged: preprocessing
-reads are outside the query probe model.  The symbols are packed into an
-array of the narrowest unsigned type that holds sigma - 1.
+charges exactly one probe to the caller's session.  Builders and
+audit.Reference read through symbols(), which is deliberately uncharged:
+preprocessing reads are outside the query probe model.  The symbols are
+packed into an array of the narrowest unsigned type that holds sigma - 1.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+import zlib
 from array import array
 
 from .bits import typecode
@@ -22,11 +24,7 @@ from .errors import (
 
 FORMATS = ("raw8", "u32le", "tokens")
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = (1 << 64) - 1
-_FNV_PRIME_3 = _FNV_PRIME ** 3 & _U64
-_FNV_PRIME_4 = _FNV_PRIME ** 4 & _U64
+_CHUNK = 16384  # symbols widened to u32 at a time, so no full-size copy is made
 
 
 class ProbeSession:
@@ -81,33 +79,24 @@ class ProbedText:
         return sym
 
     def symbols(self):
-        """Uncharged read-only view of the payload, for builders and the
-        oracle only."""
+        """Uncharged read-only view of the payload, for builders and
+        audit.Reference only."""
         return memoryview(self._payload).toreadonly()
 
     @property
     def fingerprint(self):
-        """FNV-1a over n (u64 LE), sigma (u32 LE), then each symbol as u32 LE.
-
-        A symbol below sigma has zero high bytes, and a byte step on a zero
-        byte is a plain multiply, so up to sigma = 65536 each symbol takes one
-        step that multiplies by the prime's power for its zero bytes.
-        """
+        """crc32 | adler32 << 32 of n (u64 LE), sigma (u32 LE), then each
+        symbol as u32 LE."""
         if self._fingerprint is None:
-            h = _FNV_OFFSET
-            sigma = self._sigma
-            for byte in struct.pack("<QI", self._n, sigma):
-                h = ((h ^ byte) * _FNV_PRIME) & _U64
-            if sigma <= 1 << 8:
-                for s in self._payload:
-                    h = ((h ^ s) * _FNV_PRIME_4) & _U64
-            elif sigma <= 1 << 16:
-                for s in self._payload:
-                    h = (((h ^ (s & 255)) * _FNV_PRIME ^ (s >> 8)) * _FNV_PRIME_3) & _U64
-            else:
-                for byte in struct.pack(f"<{self._n}I", *self._payload):
-                    h = ((h ^ byte) * _FNV_PRIME) & _U64
-            self._fingerprint = h
+            head = struct.pack("<QI", self._n, self._sigma)
+            crc, adler = zlib.crc32(head), zlib.adler32(head)
+            payload = self._payload
+            for i in range(0, self._n, _CHUNK):
+                chunk = array("I", payload[i:i + _CHUNK])
+                if sys.byteorder == "big":
+                    chunk.byteswap()
+                crc, adler = zlib.crc32(chunk, crc), zlib.adler32(chunk, adler)
+            self._fingerprint = crc | adler << 32
         return self._fingerprint
 
     def __len__(self):

@@ -1,8 +1,10 @@
 import json
+import struct
+import zlib
 
 import pytest
 
-from strindex.cli import main
+from strindex.cli import EXIT_USAGE, main
 
 
 @pytest.fixture
@@ -155,6 +157,31 @@ def test_pairing_mismatch_exit_code(sample_files, capsys, tmp_path):
     ])
     assert rc == 4
     assert "fingerprint" in err
+
+
+def _fnv1a(message):
+    h = 0xCBF29CE484222325
+    for byte in message:
+        h = ((h ^ byte) * 0x100000001B3) % (1 << 64)
+    return h
+
+
+def test_query_on_v2_index_is_usage_error(sample_files, capsys, tmp_path):
+    # A v2 file has the same sections; only its version byte, its FNV-1a
+    # fingerprint and so its CRC differ.  Its version rejects it before the
+    # fingerprint could fail pairing.
+    data, index = sample_files
+    blob = bytearray(index.read_bytes()[:-4])
+    blob[4] = 2  # header: magic(4), version(1), n, sigma, t, k, then fingerprint
+    blob[25:33] = struct.pack("<Q", _fnv1a(struct.pack("<QI6I", 6, 3, 1, 0, 2, 1, 0, 0)))
+    old = tmp_path / "v2.idx"
+    old.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(blob)))
+    rc, out, err = run(capsys, [
+        "query", "--index", str(old), "--input", str(data),
+        "--format", "raw8", "--sigma", "3", "rank", "0", "3",
+    ])
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "unsupported version 2" in err
 
 
 def test_missing_input_is_io_error(capsys, tmp_path):

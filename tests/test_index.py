@@ -265,6 +265,7 @@ def _patch_header(blob, **fields):
 
 @pytest.mark.parametrize("fields", [
     {"version": 1},  # v1 files must be rebuilt
+    {"version": 2},  # v2 fingerprints are FNV-1a; rebuild from the text
     {"sigma": 0},
     {"sigma": 1},
     {"sigma": 101},  # sigma > n
@@ -367,9 +368,9 @@ def _zipf_text(n, sigma, seed):
 
 @pytest.mark.parametrize("text, t, k, sha256", [
     (make_random_text(3000, 64, seed=11), 4, 2,
-     "773e1a22e01908f5376c664e2a98168da944b65ec71474e81237d985f931db34"),
+     "fc148d563ffdecbd73fdf4601f163a10d902b93a346d4892c4c988e7c20bc7ae"),
     (_zipf_text(3000, 16, seed=12), 2, 2,
-     "c07674a4994904a6b269a92b6cfd5a5bbee7c58805a018bde0ec7dc774446d0c"),
+     "64b1cd0f63c9ee4b6a221d6f53a7210dbfe360e3bc90c7f0e83a8f06e47fbde4"),
 ], ids=["uniform", "zipf"])
 def test_index_bytes_are_pinned(text, t, k, sha256):
     ix = build(text, t, k)

@@ -1,5 +1,9 @@
 import random
 import struct
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -123,22 +127,48 @@ def test_fingerprint_is_stable_and_discriminating():
     assert a.fingerprint != d.fingerprint
 
 
-def _fnv1a_bytes(symbols, sigma):
-    """The documented fingerprint: FNV-1a over n (u64 LE), sigma (u32 LE),
-    then each symbol as u32 LE, one byte at a time."""
-    h = 0xCBF29CE484222325
-    for byte in struct.pack(f"<QI{len(symbols)}I", len(symbols), sigma, *symbols):
-        h = ((h ^ byte) * 0x100000001B3) % (1 << 64)
-    return h
+def _one_shot(symbols, sigma):
+    """The documented fingerprint, over the whole message at once:
+    crc32 | adler32 << 32 of n (u64 LE), sigma (u32 LE), then each symbol
+    as u32 LE."""
+    message = struct.pack(f"<QI{len(symbols)}I", len(symbols), sigma, *symbols)
+    return zlib.crc32(message) | zlib.adler32(message) << 32
 
 
 @pytest.mark.parametrize("sigma", [2, 255, 256, 257, 65535, 65536, 65537])
 def test_fingerprint_equals_the_byte_loop(sigma):
-    # Each width of symbol step and the byte fallback, with both extremes.
+    # Each payload width, with both extremes of the alphabet, against the
+    # checksums of the message's bytes in one call each.
     rng = random.Random(sigma)
     symbols = [0, sigma - 1] + [rng.randrange(sigma) for _ in range(sigma + 300)]
     rng.shuffle(symbols)
-    assert ProbedText(symbols, sigma).fingerprint == _fnv1a_bytes(symbols, sigma)
+    assert ProbedText(symbols, sigma).fingerprint == _one_shot(symbols, sigma)
+
+
+@pytest.mark.parametrize("n", [16383, 16384, 16385, 2 * 16384 + 7])
+@pytest.mark.parametrize("sigma", [256, 16383])
+def test_fingerprint_is_the_same_across_chunk_boundaries(n, sigma):
+    # The checksums are updated 16,384 symbols at a time.  The u32 payload
+    # (sigma > 65536) spans five chunks in the test above.
+    rng = random.Random(n)
+    symbols = [rng.randrange(sigma) for _ in range(n - 1)] + [sigma - 1]
+    assert ProbedText(symbols, sigma).fingerprint == _one_shot(symbols, sigma)
+
+
+def test_fingerprint_loads_no_hash_library():
+    # hashlib loads OpenSSL, which adds megabytes to every open's resident size.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys\nsys.path.insert(0, {str(src)!r})\n"
+        "from strindex import ProbedText, StringIndex\n"
+        "text = ProbedText([i % 7 for i in range(500)], 7)\n"
+        "blob = StringIndex.build(text, 2).to_bytes()\n"
+        "StringIndex.from_bytes(blob).check_pairing(text)\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
 
 
 def test_constructor_validates():
