@@ -162,7 +162,9 @@ def cmd_bench(args, parser):
                           queries=args.queries, seed=args.seed)
     out = Path(args.out)
     out.write_text(audit.to_csv(records))
-    json_path = out.with_suffix(".json") if out.suffix else out.parent / (out.name + ".json")
+    json_path = out.with_suffix(".json")
+    if json_path == out:  # --out names a .json file: keep the CSV there
+        json_path = out.with_name(out.name + ".json")
     json_path.write_text(audit.to_json(records))
     ok, lines = audit.check_budget(records)
     for line in lines:

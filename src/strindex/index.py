@@ -180,10 +180,10 @@ class StringIndex:
             for c in chars:
                 for r, i in enumerate(occ[c], base[c]):
                     pi[i] = r
-            blocks.append(_Block(
-                start, length, base, tuple(hashes), tuple(preds),
-                ShortcutTable(pi.__getitem__, length, t),
-            ))
+            shortcuts = object.__new__(ShortcutTable)._decode(
+                ShortcutTable.encode(pi, t), length, t)
+            blocks.append(_Block(start, length, base, tuple(hashes), tuple(preds),
+                                 shortcuts))
             block_counts.append(counts)
         return cls(n, sigma, t, k, text.fingerprint,
                    unary_section(block_counts),
@@ -287,12 +287,12 @@ class StringIndex:
 
     def space_report(self):
         z_bits = self.n + len(self.blocks) * self.sigma
-        mmphf_bits = sum(h.bits() for blk in self.blocks
+        mmphf_bits = sum(h.nbits for blk in self.blocks
                          for h in blk.hashes if h is not None)
-        pred_bits = sum(p.bits() for blk in self.blocks
+        pred_bits = sum(p.nbits for blk in self.blocks
                         for p in blk.preds if p is not None)
-        shortcut_bits = sum(blk.shortcuts.bits() for blk in self.blocks)
-        target_bits = sum(blk.shortcuts.target_bits() for blk in self.blocks)
+        shortcut_bits = sum(blk.shortcuts.nbits for blk in self.blocks)
+        target_bits = shortcut_bits - sum(blk.length for blk in self.blocks)
         directory_bits = (
             sum(blk.shortcuts.directory_bits() for blk in self.blocks)
             + sum(8 * blk.base.itemsize * len(blk.base) for blk in self.blocks)
@@ -329,9 +329,9 @@ class StringIndex:
     def to_bytes(self):
         sections = {
             _TAG_Z: self.z,
-            _TAG_MMPHF: self._write_sets("hashes"),
-            _TAG_PRED: self._write_sets("preds"),
-            _TAG_SHORT: self._write_short(),
+            _TAG_MMPHF: _write_sets(blk.hashes for blk in self.blocks),
+            _TAG_PRED: _write_sets(blk.preds for blk in self.blocks),
+            _TAG_SHORT: _write_sets((blk.shortcuts,) for blk in self.blocks),
         }
         header = _HEADER.pack(
             MAGIC, VERSION, self.n, self.sigma, self.t, self.k,
@@ -347,29 +347,6 @@ class StringIndex:
             offset += len(payload)
         blob = header + bytes(table) + bytes(body)
         return blob + _CRC.pack(zlib.crc32(blob))
-
-    def _write_sets(self, attr):
-        """The hash ("hashes") or predecessor ("preds") section: each block's
-        set payloads in symbol order, packed into one field, as _read_sets
-        reads them."""
-        bw = BitWriter()
-        for blk in self.blocks:
-            field = pos = 0
-            for s in getattr(blk, attr):
-                if s is not None:
-                    size = s.nbits
-                    if size:
-                        field |= s.payload << pos
-                        pos += size
-            if pos:
-                bw.write(field, pos)
-        return bw.getvalue()
-
-    def _write_short(self):
-        bw = BitWriter()
-        for blk in self.blocks:
-            blk.shortcuts.write(bw)
-        return bw.getvalue()
 
     @classmethod
     def from_bytes(cls, data):
@@ -463,6 +440,23 @@ def _routing_table(block_counts):
     for column in zip(*block_counts):
         table.frombytes(row.pack(*accumulate(column, initial=0)))
     return table
+
+
+def _write_sets(per_block):
+    """A hash, predecessor or shortcut section: per block, the payloads of its
+    stored objects (None for no set) in order, packed into one field."""
+    bw = BitWriter()
+    for objs in per_block:
+        field = pos = 0
+        for s in objs:
+            if s is not None:
+                size = s.nbits
+                if size:
+                    field |= s.payload << pos
+                    pos += size
+        if pos:
+            bw.write(field, pos)
+    return bw.getvalue()
 
 
 def _read_sets(section, counts, charsets, cls, params):

@@ -39,7 +39,7 @@ from .bits import split_fields, width
 from .errors import CorruptIndexError, MalformedInputError
 
 # Audit constants for the size bound checked by tests:
-# bits(h) <= SIZE_C * m * log2(log2(u)) + SIZE_CPRIME * (m / beta) * log2(u).
+# h.nbits <= SIZE_C * m * log2(log2(u)) + SIZE_CPRIME * (m / beta) * log2(u).
 SIZE_C = 8
 SIZE_CPRIME = 4
 
@@ -253,10 +253,6 @@ class MonotoneHash:
         # Every bucket but the first is preceded by its w-bit separator.
         samples = max(0, full + (rest > 0) - 1) * w
         return samples + full * _bucket_bits(w, sw) + _bucket_bits(rest, sw)
-
-    def bits(self):
-        """Exact payload size in bits; the field the index stores for this set."""
-        return self.nbits
 
     # -- serialization -----------------------------------------------------
 

@@ -10,11 +10,11 @@ predecessor shows up; the gap structure bounds the forward evaluations by
 
 A table holds the back-pointers once, in its jump array: 1 plus the
 element's target where it is marked, 0 elsewhere, so a step tests its mark
-and finds its back-jump with one array read.  Beside it a table keeps its
-L mark bits as one int, so that save need not rebuild them from the jump
-array.  The file stores those bits and then the targets in mark order;
-save takes the targets from the nonzero jump entries, and load puts
-1 + each target at its mark.
+and finds its back-jump with one array read.  Its stored form is one
+payload int, as a hash or predecessor set has: the L mark bits, then the
+targets in mark order.  encode() walks the cycles to make that int;
+_decode() fills the jump array from it.  Build runs both, load reads the
+int and decodes it, and save writes the int the table kept.
 """
 
 from __future__ import annotations
@@ -60,55 +60,83 @@ def _shape(length, spacing):
     return width(length), typecode(length), range(eval_budget(spacing))
 
 
-def _zeros(code, length):
-    """An array of `length` zeros at typecode `code`."""
-    return array(code, bytes(array(code).itemsize * length))
-
-
 class ShortcutTable:
     """Marked positions plus packed back-pointers for one permutation.
 
-    marks holds the L mark bits, bit x for element x: the stored form.
-    jumps[x] is 1 + x's target where x is marked and 0 elsewhere, which is
-    what walk() reads and the only copy of the targets.
+    payload is the stored form, nbits bits: the L mark bits, bit x for
+    element x, then each marked element's target in mark order.  jumps[x]
+    is 1 + x's target where x is marked and 0 elsewhere, which is what
+    walk() reads; _decode() is the one place that fills it.
     """
 
-    __slots__ = ("length", "spacing", "marks", "jumps", "_tgt_width", "_steps")
+    __slots__ = ("length", "spacing", "payload", "nbits", "jumps", "_steps")
 
     def __init__(self, pi, length, spacing):
         """Build from an evaluator pi over [length]; build-time calls are free."""
+        self._decode(self.encode(list(map(pi, range(length))), spacing),
+                     length, spacing)
+
+    @staticmethod
+    def encode(image, spacing):
+        """The payload stored for the permutation x -> image[x] of [L]: the L
+        mark bits, then each target in mark order, width(L) bits each.  A
+        step outside [0, L), to an element already seen, or to a non-integer
+        raises MalformedInputError."""
         if spacing < 1:
             raise MalformedInputError(f"spacing must be >= 1, got {spacing}")
-        image = list(map(pi, range(length)))
-        if sorted(image) != list(range(length)):
-            raise MalformedInputError("evaluator is not a bijection on [L]")
-        self.length = length
-        self.spacing = spacing
-        self._tgt_width, code, self._steps = _shape(length, spacing)
-        self.jumps = jumps = _zeros(code, length)
-        marks = 0
-        visited = bytearray(length)
+        length = len(image)
+        seen = bytearray(length)
+        back = [0] * length  # 1 + each mark's back-pointer, 0 elsewhere
+        payload = 0
         for start in range(length):
-            if visited[start]:
-                continue
+            if seen[start]:
+                continue  # start is each cycle's least element
+            seen[start] = 1
             cycle = [start]
-            visited[start] = 1
             x = image[start]
-            while x != start:
-                visited[x] = 1
-                cycle.append(x)
-                x = image[x]
-            c = len(cycle)
+            try:
+                while x != start:
+                    if not 0 <= x < length or seen[x]:
+                        raise MalformedInputError(f"not a permutation of [0, {length})")
+                    seen[x] = 1
+                    cycle.append(x)
+                    x = image[x]
+            except TypeError:
+                raise MalformedInputError(f"image holds a non-integer {x!r}") from None
             # Fixed points resolve in one evaluation; cycles shorter than the
             # spacing resolve within it.  Neither needs shortcuts.
-            if c < spacing or c == 1:
+            if len(cycle) < spacing or len(cycle) == 1:
                 continue
-            lead = cycle.index(min(cycle))
-            for step in range(0, c, spacing):
-                x = cycle[(lead + step) % c]
-                jumps[x] = cycle[(lead + step - spacing) % c] + 1
-                marks |= 1 << x
-        self.marks = marks
+            marked = cycle[::spacing]
+            for x, target in zip(marked, [cycle[-spacing]] + marked[:-1]):
+                back[x] = target + 1
+                payload |= 1 << x
+        tw = width(length)
+        for i, j in enumerate(filter(None, back)):
+            payload |= (j - 1) << (length + i * tw)
+        return payload
+
+    def _decode(self, payload, length, spacing):
+        """Fill self from a payload that encode() made over [length]; a target
+        outside [0, length) raises CorruptIndexError before anything is filled."""
+        tw, code, self._steps = _shape(length, spacing)
+        self.length = length
+        self.spacing = spacing
+        self.payload = payload
+        marks = payload & ((1 << length) - 1)
+        ones = marks.bit_count()
+        self.nbits = length + ones * tw
+        targets = split_fields(payload >> length, ones, tw)
+        # Checked first: at L = 255 a target of 255 would not fit its
+        # 8-bit jump entry as 1 + target.
+        if ones and max(targets) >= length:
+            raise CorruptIndexError(f"shortcut target outside [0, {length})")
+        self.jumps = jumps = array(code, bytes(array(code).itemsize * length))  # zeros
+        # The mark bits as bytes, lowest first: a NUL where unmarked.
+        flags = format(marks, "b").encode()[::-1].replace(b"0", b"\0")
+        for x, target in zip(compress(count(), flags), targets):
+            jumps[x] = target + 1
+        return self
 
     def invert(self, q, pi):
         """Return i with pi(i) == q, using at most eval_budget(spacing) calls."""
@@ -148,46 +176,13 @@ class ShortcutTable:
 
     # -- size accounting and serialization ----------------------------------
 
-    def target_bits(self):
-        """Back-pointer array only: count of marks times ceil(log2 L)."""
-        return self.marks.bit_count() * self._tgt_width
-
-    def bits(self):
-        """Stored size: L mark bits and the back-pointers."""
-        return self.length + self.target_bits()
-
     def directory_bits(self):
         """The in-memory jump array, which the file does not store."""
         return 8 * self.jumps.itemsize * len(self.jumps)
 
-    def write(self, bw):
-        """Emit the L mark bits, then each target in mark order, as one field."""
-        value = self.marks
-        pos = self.length
-        tw = self._tgt_width
-        for j in filter(None, self.jumps):
-            value |= (j - 1) << pos
-            pos += tw
-        bw.write(value, pos)
-
     @classmethod
     def read(cls, br, length, spacing):
-        """One table over [length], as write() emitted it, from br."""
-        tab = object.__new__(cls)
-        tab.length = length
-        tab.spacing = spacing
-        tw, code, tab._steps = _shape(length, spacing)
-        tab._tgt_width = tw
-        tab.marks = marks = br.read(length)
-        ones = marks.bit_count()
-        targets = split_fields(br.read(ones * tw), ones, tw)
-        # Checked first: at L = 255 a target of 255 would not fit its
-        # 8-bit jump entry as 1 + target.
-        if ones and max(targets) >= length:
-            raise CorruptIndexError(f"shortcut target outside [0, {length})")
-        tab.jumps = jumps = _zeros(code, length)
-        # The mark bits as bytes, lowest first: a NUL where unmarked.
-        flags = format(marks, "b").encode()[::-1].replace(b"0", b"\0")
-        for x, target in zip(compress(count(), flags), targets):
-            jumps[x] = target + 1
-        return tab
+        """One table over [length], as encode() made its payload, from br."""
+        marks = br.read(length)
+        field = br.read(marks.bit_count() * _shape(length, spacing)[0])
+        return object.__new__(cls)._decode(marks | field << length, length, spacing)

@@ -246,10 +246,6 @@ class PredIndex:
         total = full * (w + _bucket_bits(w, k, w, sw))
         return total + (w + _bucket_bits(rest, k, w, sw) if rest else 0)
 
-    def bits(self):
-        """Exact payload size in bits; EMPTY_PRED_BITS when nothing is stored."""
-        return self.nbits
-
     @classmethod
     def read(cls, br, m, sigma, k, memo=None):
         """Rebuild from a payload that encode() made, read from br.

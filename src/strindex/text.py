@@ -111,7 +111,7 @@ def load(data, fmt, declared_sigma=None):
 
     raw8   - one symbol per byte
     u32le  - one symbol per 32-bit little-endian unsigned integer
-    tokens - ASCII decimal integers separated by whitespace
+    tokens - runs of the ASCII digits 0-9 separated by whitespace
     """
     if fmt not in FORMATS:
         raise MalformedInputError(f"unknown format {fmt!r}; expected one of {FORMATS}")
@@ -142,13 +142,12 @@ def _decode(data, fmt):
         raise MalformedInputError("tokens input is not ASCII text") from None
     out = []
     for pos, tok in enumerate(decoded.split()):
-        try:
-            value = int(tok, 10)
-        except ValueError:
+        # On ASCII text isdigit() passes only runs of 0-9; int() takes "+1", "1_0".
+        if not tok.isdigit():
+            if tok[0] == "-" and tok[1:].isdigit():
+                raise MalformedInputError(f"token {tok} at position {pos} is negative")
             raise MalformedInputError(
                 f"token {tok!r} at position {pos} is not a decimal integer"
-            ) from None
-        if value < 0:
-            raise MalformedInputError(f"token {value} at position {pos} is negative")
-        out.append(value)
+            )
+        out.append(int(tok))
     return out

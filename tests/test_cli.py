@@ -225,6 +225,21 @@ def test_bench_writes_deterministic_csv_and_json(sample_files, capsys, tmp_path)
     assert out_a == out_b  # stdout is byte-stable for a fixed seed
 
 
+def test_bench_out_json_keeps_the_csv(sample_files, capsys, tmp_path):
+    data, _ = sample_files
+    out = tmp_path / "sweep.json"
+    argv = [
+        "bench", "--input", str(data), "--format", "raw8", "--sigma", "3",
+        "--t-list", "1", "--queries", "10", "--out", str(out),
+    ]
+    rc, stdout, _ = run(capsys, argv)
+    assert rc == 0
+    json_path = tmp_path / "sweep.json.json"
+    assert out.read_text().startswith("n,sigma,t,k,")
+    assert [row["t"] for row in json.loads(json_path.read_text())] == [1]
+    assert f"wrote {out} and {json_path}" in stdout
+
+
 def test_stdout_identical_for_identical_queries(sample_files, capsys):
     data, index = sample_files
     argv = [

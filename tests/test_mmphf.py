@@ -28,7 +28,7 @@ def test_two_keys():
 
 def test_empty_set():
     h = MonotoneHash([], 8)
-    assert h.bits() == 0
+    assert h.nbits == 0
     assert 0 <= h.eval(5) <= 0
     bw = BitWriter()
     bw.write(h.payload, h.nbits)
@@ -111,7 +111,7 @@ def test_embedded_write_read_round_trip():
     h = MonotoneHash(keys, 512)
     bw = BitWriter()
     bw.write(h.payload, h.nbits)
-    assert bw.bit_length == h.bits()
+    assert bw.bit_length == h.nbits
     g = MonotoneHash.read(BitReader(bw.getvalue()), h.m, h.u)
     for rank, key in enumerate(keys):
         assert g.eval(key) == rank
@@ -123,7 +123,7 @@ def test_bits_meet_audit_bound():
     h = MonotoneHash(keys, u)
     beta = width(u)
     bound = SIZE_C * m * math.log2(math.log2(u)) + SIZE_CPRIME * (m / beta) * math.log2(u)
-    assert h.bits() <= bound
+    assert h.nbits <= bound
 
 
 def test_bits_grow_roughly_linearly():
@@ -134,7 +134,7 @@ def test_bits_grow_roughly_linearly():
     for m in (64, 128, 256):
         small = sorted(rng.sample(range(u), m))
         large = sorted(rng.sample(range(u), 2 * m))
-        ratio = MonotoneHash(large, u).bits() / MonotoneHash(small, u).bits()
+        ratio = MonotoneHash(large, u).nbits / MonotoneHash(small, u).nbits
         assert 1.5 <= ratio <= 2.5
 
 
@@ -154,7 +154,7 @@ def test_payload_size_depends_only_on_m_and_u(data):
     h = MonotoneHash(keys, u)
     bw = BitWriter()
     bw.write(h.payload, h.nbits)
-    assert MonotoneHash.payload_bits(len(keys), u) == h.bits() == bw.bit_length
+    assert MonotoneHash.payload_bits(len(keys), u) == h.nbits == bw.bit_length
     g = MonotoneHash.read(BitReader(bw.getvalue()), len(keys), u)
     for rank, key in enumerate(keys):
         assert g.eval(key) == rank

@@ -21,8 +21,16 @@ class CountingPi:
 
 
 def ones(tab):
-    """Marks of a table, counted from its mark bits."""
-    return tab.marks.bit_count()
+    """Marks of a table, counted from the L mark bits that open its payload."""
+    return (tab.payload & ((1 << tab.length) - 1)).bit_count()
+
+
+def written(tab):
+    """The bytes of a table's payload written alone, as a section holds it."""
+    bw = BitWriter()
+    bw.write(tab.payload, tab.nbits)
+    assert bw.bit_length == tab.nbits
+    return bw
 
 
 def invert_all(image, spacing):
@@ -45,8 +53,8 @@ def test_identity_has_no_marks():
     for spacing in (1, 2, 5):
         tab = ShortcutTable(list(range(6)).__getitem__, 6, spacing)
         assert ones(tab) == 0
-        assert tab.target_bits() == 0
-        assert tab.bits() == 6  # mark bits only
+        assert tab.payload == 0
+        assert tab.nbits == 6  # mark bits only
         invert_all(list(range(6)), spacing)
 
 
@@ -92,8 +100,8 @@ def test_target_bits_are_exact():
     for spacing in (1, 2, 5):
         tab = ShortcutTable(image.__getitem__, 300, spacing)
         width = (300 - 1).bit_length()
-        assert tab.target_bits() == ones(tab) * width
-        assert tab.bits() == 300 + tab.target_bits()
+        assert tab.nbits == 300 + ones(tab) * width
+        assert tab.payload.bit_length() <= tab.nbits
 
 
 def test_target_bits_halve_per_spacing_doubling():
@@ -101,7 +109,7 @@ def test_target_bits_halve_per_spacing_doubling():
     image = list(range(4096))
     rng.shuffle(image)
     bits = {
-        spacing: ShortcutTable(image.__getitem__, 4096, spacing).target_bits()
+        spacing: ShortcutTable(image.__getitem__, 4096, spacing).nbits - 4096
         for spacing in (1, 2, 4, 8)
     }
     for spacing in (1, 2, 4):
@@ -111,8 +119,8 @@ def test_target_bits_halve_per_spacing_doubling():
 
 def test_empty_permutation():
     tab = ShortcutTable(lambda x: x, 0, 3)
-    assert tab.bits() == 0
-    assert tab.target_bits() == 0
+    assert tab.nbits == 0
+    assert tab.payload == 0
 
 
 def test_rejects_non_bijection():
@@ -124,18 +132,53 @@ def test_rejects_non_bijection():
         ShortcutTable([0, 1].__getitem__, 2, 0)
 
 
+# Payloads as the shortcut writer of format v3 emitted them: the L mark bits,
+# then each target in mark order, in width(L) bits each.
+_RECORDED = [
+    ([1, 0, 2], 2, 5, "1"),
+    ([2, 0, 1], 2, 7, "13"),
+    ([(x + 1) % 10 for x in range(10)], 3, 26, "18c1e49"),  # 10 marks by 3
+    ([3, 7, 0, 5, 1, 2, 6, 4, 9, 8, 10, 11], 2, 32, "80175133"),
+    (list(range(6)), 2, 6, "0"),
+    ([(x + 1) % 255 for x in range(255)], 16, 383,  # 255 marked by 16
+     "7068605850484038302820181008007780010001000100010001000100010001"
+     "00010001000100010001000100010001"),
+]
+
+
+@pytest.mark.parametrize("image, spacing, nbits, payload", _RECORDED,
+                         ids=["pair", "three-cycle", "rotation", "cycles",
+                              "identity", "rotation-255"])
+def test_encode_is_the_recorded_payload(image, spacing, nbits, payload):
+    payload = int(payload, 16)
+    length = len(image)
+    assert ShortcutTable.encode(image, spacing) == payload
+    tab = ShortcutTable(image.__getitem__, length, spacing)
+    assert (tab.payload, tab.nbits) == (payload, nbits)
+    br = BitReader(payload.to_bytes((nbits + 7) // 8, "little"))
+    back = ShortcutTable.read(br, length, spacing)
+    assert br.bits_consumed == nbits
+    assert (back.payload, back.nbits) == (payload, nbits)
+    assert back.jumps == tab.jumps
+
+
+@pytest.mark.parametrize("image", [[0, 0, 1], [5, 0, 1], [-1, 0], [1, 1], [0.5, 0]])
+def test_encode_rejects_what_the_constructor_rejects(image):
+    with pytest.raises(MalformedInputError):
+        ShortcutTable.encode(image, 1)
+    with pytest.raises(MalformedInputError):
+        ShortcutTable(image.__getitem__, len(image), 1)
+
+
 def test_serialization_round_trip():
     rng = random.Random(13)
     image = list(range(100))
     rng.shuffle(image)
     tab = ShortcutTable(image.__getitem__, 100, 3)
-    bw = BitWriter()
-    tab.write(bw)
-    assert bw.bit_length == tab.bits()
+    bw = written(tab)
     back = ShortcutTable.read(BitReader(bw.getvalue()), 100, 3)
-    bw2 = BitWriter()
-    back.write(bw2)
-    assert bw2.getvalue() == bw.getvalue()
+    assert (back.payload, back.nbits) == (tab.payload, tab.nbits)
+    assert written(back).getvalue() == bw.getvalue()
     for q in range(100):
         assert image[back.invert(q, CountingPi(image))] == q
 
@@ -166,13 +209,11 @@ def test_write_read_round_trip_keeps_marks_and_word_counts(length, spacing, rng)
     image = list(range(length))
     rng.shuffle(image)
     tab = ShortcutTable(image.__getitem__, length, spacing)
-    bw = BitWriter()
-    tab.write(bw)
-    assert bw.bit_length == tab.bits()
+    bw = written(tab)
     back = ShortcutTable.read(BitReader(bw.getvalue()), length, spacing)
     marks = bits_of(bw.getvalue())[:length]  # the section starts with the marks
     for table in (tab, back):
-        assert table.marks == int(marks[::-1], 2)
+        assert table.payload & ((1 << length) - 1) == int(marks[::-1], 2)
         assert len(table.jumps) == length
         for i in range((length + 63) // 64):  # the marks before each 64-bit word
             assert sum(map(bool, table.jumps[:64 * i])) == marks[:64 * i].count("1")
@@ -208,7 +249,7 @@ def assert_jumps_follow_the_stored_bits(table, data):
     width = max(1, (length - 1).bit_length())
     stored = [int(bits[length + i * width:length + (i + 1) * width][::-1], 2)
               for i in range(len(marked))]
-    assert table.marks == sum(1 << x for x in marked)
+    assert table.payload & ((1 << length) - 1) == sum(1 << x for x in marked)
     assert [j - 1 for j in table.jumps if j] == stored
     want = [0] * length
     for x, target in zip(marked, stored):
@@ -223,14 +264,12 @@ def assert_jumps_follow_the_stored_bits(table, data):
 def test_jumps_hold_one_plus_each_marks_target(length, spacing, rng):
     image = permutation_with_cycle(length, spacing, rng)
     tab = ShortcutTable(image.__getitem__, length, spacing)
-    bw = BitWriter()
-    tab.write(bw)
-    data = bw.getvalue()
+    data = written(tab).getvalue()
     back = ShortcutTable.read(BitReader(data), length, spacing)
     for table in (tab, back):
         assert_jumps_follow_the_stored_bits(table, data)
     assert back.jumps == tab.jumps
-    assert back.marks == tab.marks
+    assert (back.payload, back.nbits) == (tab.payload, tab.nbits)
     if 2 <= spacing <= length:  # the spacing-long cycle's mark jumps to itself
         assert any(j == x + 1 for x, j in enumerate(tab.jumps))
     for q in range(length):
@@ -253,14 +292,14 @@ def test_read_blocks_reads_what_each_table_wrote(lengths):
         image = list(range(length))
         rng.shuffle(image)
         tables.append(ShortcutTable(image.__getitem__, length, 16))
-        tables[-1].write(bw)
+        bw.write(tables[-1].payload, tables[-1].nbits)
     br = BitReader(bw.getvalue())
     back = [ShortcutTable.read(br, length, 16) for length in lengths]
     assert br.bits_consumed == bw.bit_length
     for tab, got in zip(tables, back):
         assert got.jumps.typecode == tab.jumps.typecode == typecode(tab.length)
         assert got.jumps == tab.jumps
-        assert got.marks == tab.marks
+        assert (got.payload, got.nbits) == (tab.payload, tab.nbits)
 
 
 @pytest.mark.parametrize("length, target", [(255, 255), (255, 254), (300, 300), (300, 511)])
@@ -270,14 +309,10 @@ def test_a_target_past_its_table_is_corrupt(length, target):
     image = [(x + 1) % length for x in range(length)]
     tab = ShortcutTable(image.__getitem__, length, 1)
     assert ones(tab) == length  # so the last target is element length - 1's
-    bw = BitWriter()
-    tab.jumps[-1] = min(target, length - 1) + 1
-    tab.write(bw)
-    field = int.from_bytes(bw.getvalue(), "little")
     width = (length - 1).bit_length()
-    top = bw.bit_length - width  # the last target's field
-    field = field & ~(((1 << width) - 1) << top) | target << top
-    data = field.to_bytes(len(bw.getvalue()), "little")
+    top = tab.nbits - width  # the last target's field
+    field = tab.payload & ~(((1 << width) - 1) << top) | target << top
+    data = field.to_bytes((tab.nbits + 7) // 8, "little")
     if target < length:
         assert ShortcutTable.read(BitReader(data), length, 1).jumps[-1] == target + 1
         return
@@ -285,8 +320,8 @@ def test_a_target_past_its_table_is_corrupt(length, target):
     for after_longer in (False, True):  # alone, and read after a longer table
         prefix = BitWriter()
         if after_longer:
-            longer.write(prefix)
-        prefix.write(field, bw.bit_length)
+            prefix.write(longer.payload, longer.nbits)
+        prefix.write(field, tab.nbits)
         br = BitReader(prefix.getvalue())
         if after_longer:
             assert ShortcutTable.read(br, length + 1, 1).jumps == longer.jumps

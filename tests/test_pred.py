@@ -97,15 +97,15 @@ def test_construction_shape_every_gth_element():
 def test_direct_sets_store_nothing():
     for m in range(DIRECT_LIMIT + 1):
         ix = PredIndex(list(range(m)), 1024, 1)
-        assert ix.bits() == EMPTY_PRED_BITS
+        assert ix.nbits == EMPTY_PRED_BITS
 
 
 def test_bits_shrink_with_larger_k():
     rng = random.Random(5)
     sigma = 2**16
     members = sorted(rng.sample(range(sigma), 256))
-    b1 = PredIndex(members, sigma, 1).bits()
-    b4 = PredIndex(members, sigma, 4).bits()
+    b1 = PredIndex(members, sigma, 1).nbits
+    b4 = PredIndex(members, sigma, 4).nbits
     assert b4 < b1
 
 
@@ -115,7 +115,7 @@ def test_bits_grow_roughly_linearly():
     for m in (64, 128, 256):
         small = sorted(rng.sample(range(sigma), m))
         large = sorted(rng.sample(range(sigma), 2 * m))
-        ratio = PredIndex(large, sigma, 1).bits() / PredIndex(small, sigma, 1).bits()
+        ratio = PredIndex(large, sigma, 1).nbits / PredIndex(small, sigma, 1).nbits
         assert 1.5 <= ratio <= 2.5
 
 
@@ -127,7 +127,7 @@ def test_serialization_round_trip():
         ix = PredIndex(members, sigma, k)
         bw = BitWriter()
         bw.write(ix.payload, ix.nbits)
-        assert bw.bit_length == ix.bits()
+        assert bw.bit_length == ix.nbits
         g = PredIndex.read(BitReader(bw.getvalue()), ix.m, sigma, k)
         bw2 = BitWriter()
         bw2.write(g.payload, g.nbits)
@@ -221,7 +221,7 @@ def test_payload_size_depends_only_on_m_sigma_and_k(data):
     ix = PredIndex(members, sigma, k)
     bw = BitWriter()
     bw.write(ix.payload, ix.nbits)
-    assert PredIndex.payload_bits(len(members), sigma, k) == ix.bits() == bw.bit_length
+    assert PredIndex.payload_bits(len(members), sigma, k) == ix.nbits == bw.bit_length
     g = PredIndex.read(BitReader(bw.getvalue()), len(members), sigma, k)
     bw2 = BitWriter()
     bw2.write(g.payload, g.nbits)

@@ -75,6 +75,10 @@ def test_load_tokens_errors():
         load(b"0 x 1", "tokens")
     with pytest.raises(MalformedInputError, match="negative"):
         load(b"0 -1", "tokens")
+    # int() would read these as 10 and 1; only runs of ASCII digits are tokens.
+    for bad in (b"0 1_0", b"0 +1"):
+        with pytest.raises(MalformedInputError, match="position 1 is not a decimal"):
+            load(bad, "tokens")
 
 
 def test_load_unknown_format():
