@@ -7,6 +7,11 @@ steps behind it.  Inverting then walks forward from the query, takes at
 most one back-jump at the first marked element, and walks on until the
 predecessor shows up; the gap structure bounds the forward evaluations by
 2 * spacing + 1.  walk() is that one loop, with a block's pi step inlined.
+Each step reads one symbol through the text's read-only view (reads), and
+the walk charges its session once, with the number of steps it made, on
+every way out: its answer, a ProbeBudgetError, or a CorruptIndexError for
+an index that disagrees with its text.  The step count is the loop
+variable, so no step pays for a counter or a call.
 
 A table holds the back-pointers once, in its jump array: 1 plus the
 element's target where it is marked, 0 elsewhere, so a step tests its mark
@@ -22,6 +27,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import compress, count
+from operator import index
 
 from .bits import split_fields, typecode, width
 from .errors import (
@@ -30,22 +36,48 @@ from .errors import (
     OutOfRangeError,
     ProbeBudgetError,
 )
+from .text import ProbeSession
 
 
 class _Forward:
-    """A plain evaluator pi seen as walk()'s text and hashes: the step
-    reads pi(x) as the symbol, base is the identity and every offset 0."""
+    """A plain evaluator pi over [length] seen as walk()'s text: reads[x] is
+    pi(x), checked to lie in [0, length).  With the identity as base and
+    _NO_OFFSET as hashes, a step is pi itself."""
 
-    __slots__ = ("access",)
+    __slots__ = ("_pi", "_length")
 
-    def __init__(self, pi):
-        self.access = lambda session, x: pi(x)
+    def __init__(self, pi, length):
+        self._pi = pi
+        self._length = length
+
+    @property
+    def reads(self):
+        return self
+
+    def __getitem__(self, x):
+        y = self._pi(x)
+        try:
+            y = index(y)
+        except TypeError:
+            raise MalformedInputError(f"pi({x}) = {y!r} is not an integer") from None
+        if not 0 <= y < self._length:
+            raise OutOfRangeError(f"pi({x}) = {y} outside [0, {self._length})")
+        return y
+
+
+class _NoOffset:
+    """walk()'s hashes for a plain evaluator: every symbol's offset is 0."""
+
+    __slots__ = ()
 
     def __getitem__(self, c):
         return self
 
     def eval(self, x):
         return 0
+
+
+_NO_OFFSET = _NoOffset()
 
 
 def eval_budget(spacing):
@@ -56,8 +88,9 @@ def eval_budget(spacing):
 @lru_cache(maxsize=32)
 def _shape(length, spacing):
     """What every table over [length] at this spacing shares: its target
-    width, the typecode of its jumps, and walk's step range."""
-    return width(length), typecode(length), range(eval_budget(spacing))
+    width, the typecode of its jumps, and walk's step range, numbered from 1
+    so that the step in hand is the count of reads made."""
+    return width(length), typecode(length), range(1, eval_budget(spacing) + 1)
 
 
 class ShortcutTable:
@@ -139,36 +172,49 @@ class ShortcutTable:
         return self
 
     def invert(self, q, pi):
-        """Return i with pi(i) == q, using at most eval_budget(spacing) calls."""
-        forward = _Forward(pi)
-        return self.walk(q, forward, None, 0, range(self.length), forward)
+        """Return i with pi(i) == q, using at most eval_budget(spacing) calls.
+        A pi value outside [0, L) raises OutOfRangeError, and one that is not
+        an integer MalformedInputError."""
+        return self.walk(q, _Forward(pi, self.length), ProbeSession(), 0,
+                         range(self.length), _NO_OFFSET)
 
     def walk(self, q, text, session, start, base, hashes):
         """Return x with pi(x) == q, for the block permutation pi whose step is
 
-            c = text.access(session, start + x)
+            c = text.reads[start + x]
             pi(x) = base[c] + hashes[c].eval(x)
 
         Walks forward from q, reads each element's jump entry until the one
         back-jump, and stops when q shows up again; at most
-        eval_budget(spacing) accesses.
+        eval_budget(spacing) reads.  The reads are charged to session once,
+        on whichever way the walk ends.  A symbol whose hash is None (the
+        block holds no such symbol, so the index and the text disagree)
+        raises CorruptIndexError.
         """
         if not 0 <= q < self.length:
             raise OutOfRangeError(f"value {q} outside [0, {self.length})")
-        access = text.access
+        reads = text.reads
         jumps = self.jumps
         x = q
-        for _ in self._steps:
-            if jumps is not None:
-                j = jumps[x]
-                if j:
-                    x = j - 1
-                    jumps = None  # one back-jump at most
-            c = access(session, start + x)
-            y = base[c] + hashes[c].eval(x)
-            if y == q:
-                return x
-            x = y
+        steps = 0
+        try:
+            for steps in self._steps:
+                if jumps is not None:
+                    j = jumps[x]
+                    if j:
+                        x = j - 1
+                        jumps = None  # one back-jump at most
+                c = reads[start + x]
+                y = base[c] + hashes[c].eval(x)
+                if y == q:
+                    return x
+                x = y
+        except AttributeError:  # hashes[c] is None
+            raise CorruptIndexError(
+                f"index and text disagree: the symbol at position {start + x} "
+                f"is absent from its block's index") from None
+        finally:
+            session.count += steps
         raise ProbeBudgetError(
             f"inversion exceeded {eval_budget(self.spacing)} evaluations "
             f"(spacing={self.spacing})"

@@ -1,10 +1,15 @@
 """Probe-counted access to a read-only symbol sequence.
 
-Everything downstream sees symbols only through ProbedText.access, which
-charges exactly one probe to the caller's session.  Builders and
-audit.Reference read through symbols(), which is deliberately uncharged:
-preprocessing reads are outside the query probe model.  The symbols are
-packed into an array of the narrowest unsigned type that holds sigma - 1.
+Queries see symbols in two ways, each charged one probe per read.
+ProbedText.access charges one probe to the caller's session per call, and
+is the one entry point of StringIndex.access.  A π walk
+(perm.ShortcutTable.walk) reads ProbedText.reads, the text's read-only
+view, and charges its session once per walk with the number of reads it
+made; RecordingText logs those reads, so a test can check the charge.
+Builders and audit.Reference read through symbols(), the same view,
+deliberately uncharged: preprocessing reads are outside the query probe
+model.  The symbols are packed into an array of the narrowest unsigned type
+that holds sigma - 1.
 """
 
 from __future__ import annotations
@@ -37,9 +42,13 @@ class ProbeSession:
 
 
 class ProbedText:
-    """Immutable sequence over [0, sigma) with counted access."""
+    """Immutable sequence over [0, sigma) with counted access.
 
-    __slots__ = ("_payload", "_n", "_sigma", "_fingerprint")
+    reads is a read-only memoryview of the packed symbols, made once.  A
+    walker that reads it charges its session one probe per read itself.
+    """
+
+    __slots__ = ("_payload", "reads", "_n", "_sigma", "_fingerprint")
 
     def __init__(self, symbols, sigma):
         payload = tuple(symbols)
@@ -57,6 +66,7 @@ class ProbedText:
             self._payload = array(typecode(sigma - 1), payload)
         except TypeError as err:
             raise MalformedInputError(f"symbols must be integers: {err}") from None
+        self.reads = memoryview(self._payload).toreadonly()
         self._n = len(payload)
         self._sigma = sigma
         self._fingerprint = None
@@ -79,9 +89,9 @@ class ProbedText:
         return sym
 
     def symbols(self):
-        """Uncharged read-only view of the payload, for builders and
-        audit.Reference only."""
-        return memoryview(self._payload).toreadonly()
+        """The reads view, uncharged, for builders and audit.Reference only;
+        every call returns the same object."""
+        return self.reads
 
     @property
     def fingerprint(self):
@@ -104,6 +114,56 @@ class ProbedText:
 
     def __repr__(self):
         return f"ProbedText(n={self._n}, sigma={self._sigma})"
+
+
+class RecordingText:
+    """A ProbedText that logs the position of every probe made through it.
+
+    n, sigma, fingerprint and access pass through to the wrapped text;
+    reads is a view that hands out the wrapped text's symbols.  Each
+    position read through reads, and each position access returns, is
+    appended to log in probe order, so a test can compare a session's
+    charge with the reads a walk made.
+    """
+
+    __slots__ = ("text", "log", "reads")
+
+    def __init__(self, text):
+        self.text = text
+        self.log = []
+        self.reads = _LoggedView(text.reads, self.log)
+
+    @property
+    def n(self):
+        return self.text.n
+
+    @property
+    def sigma(self):
+        return self.text.sigma
+
+    @property
+    def fingerprint(self):
+        return self.text.fingerprint
+
+    def access(self, session, i):
+        sym = self.text.access(session, i)
+        self.log.append(i)
+        return sym
+
+
+class _LoggedView:
+    """view[i], appending i to log once the read succeeds."""
+
+    __slots__ = ("view", "log")
+
+    def __init__(self, view, log):
+        self.view = view
+        self.log = log
+
+    def __getitem__(self, i):
+        sym = self.view[i]
+        self.log.append(i)
+        return sym
 
 
 def load(data, fmt, declared_sigma=None):

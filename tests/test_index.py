@@ -40,7 +40,9 @@ from strindex.index import (
     _TAGS,
     _write_sets,
 )
+from strindex.perm import ShortcutTable, eval_budget
 from strindex.pred import _EXPLICIT, _TRIE
+from strindex.text import RecordingText
 from conftest import brute_rank, brute_select, make_random_text, positions_of
 
 
@@ -848,3 +850,86 @@ def test_rank_loop_agrees_with_its_adapter(k):
                 assert s1.count == s2.count
     assert paths["direct"] and paths["top"]
     assert paths[_TRIE if k < 3 else _EXPLICIT]
+
+
+def _walk_reads(monkeypatch):
+    """The reads each ShortcutTable.walk makes from here on, one entry per
+    walk, as the RecordingText it was given logged them."""
+    walks = []
+    walk = ShortcutTable.walk
+
+    def recorded(self, q, text, *rest):
+        before = len(text.log)
+        try:
+            return walk(self, q, text, *rest)
+        finally:
+            walks.append(len(text.log) - before)
+
+    monkeypatch.setattr(ShortcutTable, "walk", recorded)
+    return walks
+
+
+@pytest.mark.parametrize("t", [2, 5])
+@pytest.mark.parametrize("name", sorted(_PINNED_TEXTS))
+def test_a_walk_charges_the_reads_it_makes_in_its_block(name, t, monkeypatch):
+    """Every select and a sample of ranks: the session's charge is the count
+    of reads the recording text logged, each one in the query's block, and
+    no walk reads more than eval_budget(t) symbols."""
+    text = _PINNED_TEXTS[name]
+    ix = build(text, t, k=2)
+    ref = Reference(text)
+    rec = RecordingText(text)
+    walks = _walk_reads(monkeypatch)
+    rng = random.Random(t)
+    sigma = text.sigma
+    queries = [("select", c, j) for c in range(sigma) for j in range(1, ref.count(c) + 1)]
+    queries += [("rank", rng.randrange(sigma), rng.randrange(text.n + 1))
+                for _ in range(2000)]
+    reads = 0
+    for kind, c, arg in queries:
+        rec.log.clear()
+        session = ProbeSession()
+        got = getattr(ix, kind)(rec, session, c, arg)
+        assert got == getattr(ref, kind)(c, arg), (kind, c, arg)
+        assert session.count == len(rec.log), (kind, c, arg)
+        block = (got if kind == "select" else arg) // sigma
+        assert {i // sigma for i in rec.log} <= {block}, (kind, c, arg, rec.log)
+        reads += session.count
+    assert reads == sum(walks)
+    assert max(walks) <= eval_budget(t)
+
+
+def _forged_pair():
+    """An index of one text whose header carries another text's fingerprint,
+    CRC re-stamped as a forger would: it loads and pairs with that text."""
+    text = make_random_text(2000, 64, seed=1)
+    blob = build(make_random_text(2000, 64, seed=2), t=2, k=2).to_bytes()
+    forged = _restamp(_patch_header(blob, fingerprint=text.fingerprint))
+    return StringIndex.from_bytes(forged), text
+
+
+def test_an_index_that_disagrees_with_its_text_fails_cleanly(monkeypatch):
+    """Only StrindexError escapes: a symbol absent from its block's index
+    is CorruptIndexError, a walk that never meets its value
+    ProbeBudgetError.  Each charges exactly the reads made, at most
+    eval_budget(t) per walk."""
+    ix, text = _forged_pair()
+    rec = RecordingText(text)
+    walks = _walk_reads(monkeypatch)
+    nblocks = len(ix.blocks)
+    errors = Counter()
+    for c in range(text.sigma):
+        count = ix.before[c * (nblocks + 1) + nblocks]
+        queries = [("select", j) for j in range(1, count + 1)]
+        queries += [("rank", p) for p in range(1, text.n, 7)]
+        for kind, arg in queries:
+            rec.log.clear()
+            session = ProbeSession()
+            try:
+                getattr(ix, kind)(rec, session, c, arg)
+            except StrindexError as err:
+                errors[kind, type(err)] += 1
+            assert session.count == len(rec.log), (kind, c, arg)
+    for kind in ("select", "rank"):
+        assert errors[kind, CorruptIndexError] and errors[kind, ProbeBudgetError]
+    assert max(walks) == eval_budget(ix.t)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strindex import CorruptIndexError, MalformedInputError, ProbeBudgetError, ShortcutTable
+from strindex import (
+    CorruptIndexError,
+    MalformedInputError,
+    OutOfRangeError,
+    ProbeBudgetError,
+    ShortcutTable,
+)
 from strindex.bits import BitReader, BitWriter, typecode
 from strindex.perm import eval_budget
 
@@ -195,6 +201,18 @@ def test_invert_with_a_foreign_permutation_exceeds_the_budget():
         with pytest.raises(ProbeBudgetError, match="inversion exceeded"):
             tab.invert(q, pi)
         assert pi.calls == eval_budget(spacing)
+
+
+@pytest.mark.parametrize("value, error", [
+    (100, OutOfRangeError), (10, OutOfRangeError), (-1, OutOfRangeError),
+    (1.5, MalformedInputError), (2.0, MalformedInputError), (None, MalformedInputError),
+])
+def test_invert_rejects_a_pi_value_outside_the_table(value, error):
+    tab = ShortcutTable([1, 2, 3, 4, 5, 6, 7, 8, 9, 0].__getitem__, 10, 2)
+    pi = CountingPi([value] * 10)
+    with pytest.raises(error, match=r"pi\(\d+\) = "):
+        tab.invert(3, pi)
+    assert pi.calls == 1
 
 
 def bits_of(data):

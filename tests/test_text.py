@@ -16,6 +16,7 @@ from strindex import (
     SigmaExceedsLengthError,
     load,
 )
+from strindex.text import RecordingText
 
 
 def test_load_raw8_with_sigma():
@@ -193,12 +194,29 @@ def test_symbols_is_a_read_only_view_equal_to_the_input():
     symbols = [1, 0, 2, 1, 0, 0]
     text = ProbedText(symbols, 3)
     view = text.symbols()
+    assert view is text.reads is text.symbols()  # one view, made once
     assert list(view) == symbols
     with pytest.raises(TypeError):
         view[0] = 2
     symbols[0] = 2  # the text keeps its own copy
     assert tuple(text.symbols()) == (1, 0, 2, 1, 0, 0)
     assert text.access(ProbeSession(), 0) == 1
+
+
+def test_recording_text_passes_through_and_logs_each_probe():
+    text = ProbedText([1, 0, 2, 1, 0, 0], 3)
+    rec = RecordingText(text)
+    assert (rec.n, rec.sigma, rec.fingerprint) == (6, 3, text.fingerprint)
+    sess = ProbeSession()
+    assert rec.access(sess, 2) == 2
+    assert sess.count == 1  # access charges; the view does not
+    assert [rec.reads[i] for i in (5, 0, 3)] == [0, 1, 1]
+    assert sess.count == 1
+    with pytest.raises(OutOfRangeError):
+        rec.access(sess, 6)
+    with pytest.raises(IndexError):
+        rec.reads[6]
+    assert rec.log == [2, 5, 0, 3]  # only the probes that returned a symbol
 
 
 _BOUNDARIES = [(256, "B"), (257, "H"), (65536, "H"), (65537, "I")]
