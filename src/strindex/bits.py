@@ -4,8 +4,9 @@ and the encoder and parser of unary count sections.
 The directory stores one cumulative popcount per 256-bit superblock and is
 rebuilt on load; only the payload is ever serialized.  Queries scan at most
 four 64-bit words past a directory entry.  No index, query or load path uses
-RsBitvector, BitReader.read_bv or BitWriter.write_bv any more: the
-benchmark's traced layers and this module's tests still name them.
+RsBitvector, BitReader or BitWriter.write_bv any more (load reads its fields
+with read_bits): the benchmark's traced layers, the sets' `read` methods and
+this module's tests still name them.
 """
 
 from __future__ import annotations
@@ -318,6 +319,12 @@ class BitWriter:
         return out
 
 
+def read_bits(data, start, end):
+    """Bits [start, end) of the bytes `data`, bit 0 the lowest, as an int."""
+    chunk = int.from_bytes(data[start >> 3:(end + 7) >> 3], "little")
+    return (chunk >> (start & 7)) & ((1 << (end - start)) - 1)
+
+
 class BitReader:
     """Reads back what BitWriter wrote; overruns raise CorruptIndexError."""
 
@@ -335,8 +342,7 @@ class BitReader:
         if end > len(self._data) * 8:
             raise CorruptIndexError("bit stream truncated")
         self._pos = end
-        chunk = int.from_bytes(self._data[pos >> 3:(end + 7) >> 3], "little")
-        return (chunk >> (pos & 7)) & ((1 << width) - 1)
+        return read_bits(self._data, pos, end)
 
     def read_bv(self, nbits):
         return RsBitvector.from_int(self.read(nbits), nbits)

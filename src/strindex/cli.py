@@ -129,6 +129,7 @@ def cmd_query(args, parser):
 
 def cmd_verify(args, parser):
     ix = StringIndex.from_bytes(Path(args.index).read_bytes())
+    ix.blocks  # decodes every block, so that a payload fault anywhere is found
     text = _load_text(args)
     ix.check_pairing(text)
     queries = audit.make_workload(text, args.queries, args.seed)

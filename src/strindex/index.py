@@ -11,6 +11,10 @@ sums, which build and load derive from the counts Z encodes.  The file
 stores each of these facts once, in four sections, and ends in a CRC32 of
 every byte before it.
 
+Load checks the file's structure and its CRC, builds that table and records
+where each block's fields start, but decodes no block: a query decodes its
+block on first touch, and `blocks` every block still undecoded.
+
 select walks: block via a binary search of that table (probe-free), then one
 permutation inversion (<= 2t+1 probes).  rank reads its block's entry of the
 table and adds a predecessor query whose accessor is the in-block select,
@@ -26,10 +30,11 @@ import zlib
 from array import array
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from itertools import accumulate, chain, compress
-from operator import index
+from functools import lru_cache
+from itertools import accumulate, compress
+from operator import index, sub
 
-from .bits import BitReader, BitWriter, typecode, unary_counts, unary_section, width
+from .bits import BitWriter, read_bits, typecode, unary_counts, unary_section, width
 from .errors import (
     BadSymbolError,
     CorruptIndexError,
@@ -121,10 +126,10 @@ class SpaceReport:
 class StringIndex:
     """Systematic rank/select index; stores counts, never symbols."""
 
-    __slots__ = ("n", "sigma", "t", "k", "fingerprint", "z", "before", "blocks",
-                 "_sel_budget", "_rnk_budget", "_paired")
+    __slots__ = ("n", "sigma", "t", "k", "fingerprint", "z", "before", "_blocks",
+                 "_sections", "_pending", "_sel_budget", "_rnk_budget", "_paired")
 
-    def __init__(self, n, sigma, t, k, fingerprint, z, before, blocks):
+    def __init__(self, n, sigma, t, k, fingerprint, z, before, blocks, sections=None):
         self.n = n
         self.sigma = sigma
         self.t = t
@@ -134,7 +139,11 @@ class StringIndex:
         # before[c * (nblocks + 1) + b]: occurrences of c in blocks < b; the
         # row's last entry is count(c).
         self.before = before
-        self.blocks = blocks
+        # _blocks[b]: block b, or None until _decode reads it from _sections,
+        # which load keeps while _pending blocks are undecoded.
+        self._blocks = blocks
+        self._sections = sections
+        self._pending = blocks.count(None)
         self._sel_budget = select_budget(t)
         self._rnk_budget = rank_budget(t, k)
         self._paired = None
@@ -189,6 +198,36 @@ class StringIndex:
                    unary_section(block_counts),
                    _routing_table(block_counts), blocks)
 
+    @property
+    def blocks(self):
+        """Every block, decoding at once those that no query has touched."""
+        if self._pending:
+            self._decode([b for b, blk in enumerate(self._blocks) if blk is None])
+        return self._blocks
+
+    def _decode(self, bs):
+        """Decode, keep and return blocks bs, the last of them; a payload the
+        encoder cannot make raises CorruptIndexError and keeps none.  Each
+        section is decoded for all of bs in turn, which decodes every block
+        faster than block by block does."""
+        hashes, preds, (shortcuts, offsets) = self._sections
+        blocks, before, sigma = self._blocks, self.before, self.sigma
+        stride = len(blocks) + 1
+        counts = [list(map(sub, before[b + 1::stride], before[b::stride])) for b in bs]
+        hash_sets = [_sets(hashes, b, cnt) for b, cnt in zip(bs, counts)]
+        pred_sets = [_sets(preds, b, cnt) for b, cnt in zip(bs, counts)]
+        tables = [object.__new__(ShortcutTable)._decode(
+                      read_bits(shortcuts, offsets[b], offsets[b + 1]),
+                      min(sigma, self.n - b * sigma), self.t) for b in bs]
+        row = _row(sigma, sigma)
+        for b, cnt, h, p, table in zip(bs, counts, hash_sets, pred_sets, tables):
+            blk = blocks[b] = _Block(b * sigma, table.length, _prefix_counts(cnt, row),
+                                     h, p, table)
+        self._pending -= len(bs)
+        if not self._pending:
+            self._sections = None  # the memos and payloads, which nothing reads now
+        return blk
+
     # -- queries ---------------------------------------------------------------
 
     def check_pairing(self, text):
@@ -228,14 +267,16 @@ class StringIndex:
             if j < 1:
                 raise OutOfRangeError(f"occurrence ordinal must be >= 1, got {j}")
             table = self.before
-            row = c * (len(self.blocks) + 1)
-            end = row + len(self.blocks)
+            row = c * (len(self._blocks) + 1)
+            end = row + len(self._blocks)
             if j > table[end]:
                 index(j)  # the one path on which a non-integer j meets no int op
                 return -1
             b = bisect_left(table, j, row, end) - 1 - row
             jp = j - table[row + b]
-            blk = self.blocks[b]
+            blk = self._blocks[b]
+            if blk is None:
+                blk = self._decode((b,))
             base = blk.base
             answer = blk.start + blk.shortcuts.walk(
                 base[c] + jp - 1, text, session, blk.start, base, blk.hashes
@@ -261,10 +302,12 @@ class StringIndex:
                 raise OutOfRangeError(f"prefix {p} out of range [0, {self.n}]")
             b, p_local = divmod(p, self.sigma)
             # b == nblocks only when p == n on a block seam: the row's last entry.
-            answer = self.before[c * (len(self.blocks) + 1) + b]
+            answer = self.before[c * (len(self._blocks) + 1) + b]
             if p_local == 0:
                 return answer
-            blk = self.blocks[b]
+            blk = self._blocks[b]
+            if blk is None:
+                blk = self._decode((b,))
             pred = blk.preds[c]
             if pred is not None:
                 if p_local >= blk.length:
@@ -384,20 +427,32 @@ class StringIndex:
             raise CorruptIndexError("Z section length disagrees with the header")
         lengths = [min(sigma, n - b * sigma) for b in range(nblocks)]
         counts = unary_counts(sections[_TAG_Z], lengths, sigma)
-        charsets = [list(compress(range(sigma), cnt)) for cnt in counts]
+        before = _routing_table(counts)
 
-        hashes_per_block = _read_sets(sections[_TAG_MMPHF], counts, charsets,
-                                      MonotoneHash, (sigma,))
-        preds_per_block = _read_sets(sections[_TAG_PRED], counts, charsets,
-                                     PredIndex, (sigma, k))
+        # Where each block's field starts in each section: a set's size
+        # depends only on its m, and a shortcut table's on its mark count.
+        # No m exceeds sigma or the count of its symbol, a row's last entry.
+        top = min(sigma, max(before[nblocks::nblocks + 1]))
+        sets = []
+        for tag, set_cls, params in ((_TAG_MMPHF, MonotoneHash, (sigma,)),
+                                     (_TAG_PRED, PredIndex, (sigma, k))):
+            sizes = [set_cls.payload_bits(m, *params) for m in range(top + 1)]
+            offsets = array("Q", accumulate(
+                (sum(map(sizes.__getitem__, cnt)) for cnt in counts), initial=0))
+            _finish_section(offsets[-1], sections[tag])
+            # Kept with its memo and its map of sets that store nothing.
+            sets.append((bytes(sections[tag]), offsets, set_cls, params, sizes,
+                         {}, {0: None}))
+        shortcuts = bytes(sections[_TAG_SHORT])
+        offsets = array("Q", [0])
+        for length in lengths:
+            marks = read_bits(shortcuts, offsets[-1], offsets[-1] + length)
+            offsets.append(offsets[-1] + length + marks.bit_count() * width(length))
+        _finish_section(offsets[-1], shortcuts)
 
-        br = BitReader(sections[_TAG_SHORT])
-        shortcuts = [ShortcutTable.read(br, length, t) for length in lengths]
-        _finish_section(br, sections[_TAG_SHORT])
-
-        # Checked after the parses, so that each of them names its fault: the
-        # table lists _TAGS in order, and its sections tile the bytes between
-        # the table and the checksum.
+        # Checked after the section sizes, so that each of them names its
+        # fault: the table lists _TAGS in order, and its sections tile the
+        # bytes between the table and the checksum.
         starts = accumulate((length for _, _, length in table),
                             initial=_HEADER.size + nsections * _TABLE_ENTRY.size)
         if ([tag for tag, _, _ in table] != list(_TAGS)
@@ -405,18 +460,12 @@ class StringIndex:
             raise CorruptIndexError("sections do not tile the file")
         if zlib.crc32(data[:end]) != _CRC.unpack_from(data, end)[0]:
             raise CorruptIndexError("index checksum mismatch")
-        base_row = _row(sigma, sigma)
-        blocks = [
-            _Block(
-                b * sigma, lengths[b], _prefix_counts(counts[b], base_row),
-                hashes_per_block[b], preds_per_block[b], shortcuts[b],
-            )
-            for b in range(nblocks)
-        ]
         return cls(n, sigma, t, k, fingerprint, bytes(sections[_TAG_Z]),
-                   _routing_table(counts), blocks)
+                   before, [None] * nblocks,
+                   (*sets, (shortcuts, offsets)))
 
 
+@lru_cache(maxsize=32)  # every block of a load asks for the same row
 def _row(largest, length):
     """A Struct of `length` unsigned values <= largest, at typecode width.
 
@@ -459,42 +508,32 @@ def _write_sets(per_block):
     return bw.getvalue()
 
 
-def _read_sets(section, counts, charsets, cls, params):
-    """Per block, the tuple whose entry c is the cls set of counts[b][c]
-    members, None where that count is 0, from a hash or predecessor section;
-    params are what cls.payload_bits takes after m, (sigma,) or (sigma, k),
-    as mmphf.shared takes them.
-
-    A payload's size depends only on m, so each block's payloads are read
-    as one field and split.  A memo that lives for this call only lets sets
-    with equal payloads share one immutable object; a set that stores
-    nothing is the one object of its m.
-    """
-    br = BitReader(section)
-    memo = {}
-    sizes = {m: cls.payload_bits(m, *params)
-             for m in set(chain.from_iterable(counts)) if m}
-    empty = {m: shared(cls, 0, m, params, memo)
-             for m, size in sizes.items() if not size}
-    out = []
-    for cnt, chars in zip(counts, charsets):
-        ms = list(filter(None, cnt))  # the m of each symbol in chars
-        nbits = list(map(sizes.__getitem__, ms))
-        total = sum(nbits)
-        if not total:  # every set of the block stores nothing
-            out.append(tuple(map(empty.get, cnt)))
-            continue
-        field = br.read(total)
-        sets = [None] * len(cnt)
-        for c, m, size in zip(chars, ms, nbits):
-            if size:
-                sets[c] = shared(cls, field & ((1 << size) - 1), m, params, memo)
-                field >>= size
-            else:
-                sets[c] = empty[m]
-        out.append(tuple(sets))
-    _finish_section(br, section)
-    return out
+def _sets(section, b, counts):
+    """Block b's tuple of sets, entry c holding counts[c] members and None
+    where that count is 0, from a hash or predecessor section as from_bytes
+    keeps it: its payloads are one field, split in symbol order.  The memo
+    shares sets with equal payloads across blocks; `empty` maps m to the one
+    set of m that stores nothing, and 0 to None."""
+    data, offsets, cls, params, sizes, memo, empty = section
+    start, end = offsets[b], offsets[b + 1]
+    if start == end:  # every set of the block stores nothing
+        for m in set(counts).difference(empty):
+            empty[m] = shared(cls, 0, m, params, memo)
+        return tuple(map(empty.__getitem__, counts))
+    field = read_bits(data, start, end)
+    sets = [None] * len(counts)
+    for c in compress(range(len(counts)), counts):
+        m = counts[c]
+        size = sizes[m]
+        if size:
+            sets[c] = shared(cls, field & ((1 << size) - 1), m, params, memo)
+            field >>= size
+        else:
+            s = empty.get(m)
+            if s is None:
+                s = empty[m] = shared(cls, 0, m, params, memo)
+            sets[c] = s
+    return tuple(sets)
 
 
 def _require_integers(**args):
@@ -507,13 +546,14 @@ def _require_integers(**args):
             raise MalformedInputError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _finish_section(br, payload):
-    """Raise unless the parsed content ends in the section's last byte and
-    the padding bits after it are zero, so that one index has one file."""
-    consumed = br.bits_consumed
-    if (consumed + 7) // 8 != len(payload):
+def _finish_section(nbits, payload):
+    """Raise unless a section of nbits bits of content ends in its last byte
+    and the padding bits after it are zero, so that one index has one file."""
+    if (nbits + 7) // 8 > len(payload):
+        raise CorruptIndexError("section truncated: shorter than its content")
+    if (nbits + 7) // 8 != len(payload):
         raise CorruptIndexError("section length disagrees with parsed content")
-    if consumed % 8 and payload[-1] >> consumed % 8:
+    if nbits % 8 and payload[-1] >> nbits % 8:
         raise CorruptIndexError("section padding bits are not zero")
 
 

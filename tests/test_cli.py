@@ -1,10 +1,13 @@
 import json
+import random
 import struct
 import zlib
 
 import pytest
 
+from strindex import ProbedText, build
 from strindex.cli import EXIT_USAGE, main
+from strindex.index import _HEADER, _TABLE_ENTRY, _TAG_SHORT, _TAGS
 
 
 @pytest.fixture
@@ -131,6 +134,37 @@ def test_verify_corrupted_index(sample_files, capsys, tmp_path):
         "--format", "raw8", "--sigma", "3",
     ])
     assert rc != 0
+
+
+def test_verify_decodes_every_block_and_query_only_its_own(capsys, tmp_path):
+    # sigma=6: a block's targets take width(6) = 3 bits, which also hold 7.
+    rng = random.Random(3)
+    symbols = [rng.randrange(6) for _ in range(60)]
+    data = tmp_path / "text.bin"
+    data.write_bytes(bytes(symbols))
+    ix = build(ProbedText(symbols, 6), t=2)
+    b = 4  # a middle block, which one verify query is unlikely to touch
+    assert any(ix.blocks[b].shortcuts.jumps)  # it has a mark
+    blob = bytearray(ix.to_bytes())
+    # Block b's first target, after its 6 mark bits, becomes 7.
+    table = [_TABLE_ENTRY.unpack_from(blob, _HEADER.size + i * _TABLE_ENTRY.size)
+             for i in range(len(_TAGS))]
+    start = (8 * next(off for tag, off, _ in table if tag == _TAG_SHORT)
+             + sum(blk.shortcuts.nbits for blk in ix.blocks[:b]) + 6)
+    for i in range(3):
+        blob[(start + i) // 8] |= 1 << (start + i) % 8
+    blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(bytes(blob))
+    text_args = ["--input", str(data), "--format", "raw8", "--sigma", "6"]
+    rc, _, err = run(capsys, ["verify", "--index", str(bad), *text_args,
+                              "--queries", "1"])
+    assert rc == EXIT_USAGE  # CorruptIndexError's exit code
+    assert "shortcut target" in err
+    c = symbols[-1]  # its last occurrence is in the last block
+    rc, out, _ = run(capsys, ["query", "--index", str(bad), *text_args,
+                              "select", str(c), str(symbols.count(c))])
+    assert (rc, out.split()[0]) == (0, "59")
 
 
 def test_query_on_zero_sigma_header_is_usage_error(sample_files, capsys, tmp_path):

@@ -29,7 +29,7 @@ from strindex import (
     select_budget,
 )
 from strindex.audit import Reference, make_workload
-from strindex.bits import BitReader, BitWriter, typecode, unary_counts, width
+from strindex.bits import BitWriter, typecode, unary_counts, width
 from strindex.index import (
     _HEADER,
     _TABLE_ENTRY,
@@ -40,8 +40,10 @@ from strindex.index import (
     _TAGS,
     _write_sets,
 )
+import strindex.index
+from strindex.mmphf import MonotoneHash
 from strindex.perm import ShortcutTable, eval_budget
-from strindex.pred import _EXPLICIT, _TRIE
+from strindex.pred import _EXPLICIT, _TRIE, PredIndex
 from strindex.text import RecordingText
 from conftest import brute_rank, brute_select, make_random_text, positions_of
 
@@ -592,18 +594,22 @@ def test_load_reads_each_set_once_and_shares_equal_ones(monkeypatch):
     blob = ix.to_bytes()
     pairs = sum(h is not None for blk in ix.blocks for h in blk.hashes)
     reads = Counter()
-    read = BitReader.read
+    read = strindex.index.read_bits
 
-    def counting_read(self, width):
-        reads[bytes(self._data)] += 1
-        return read(self, width)
+    def counting_read(data, start, end):
+        reads[bytes(data)] += 1
+        return read(data, start, end)
 
-    monkeypatch.setattr(BitReader, "read", counting_read)
+    monkeypatch.setattr(strindex.index, "read_bits", counting_read)
     back = StringIndex.from_bytes(blob)
-    # One field per block at most: a block whose sets store nothing reads none.
-    for tag in (_TAG_MMPHF, _TAG_PRED):
+    back.blocks
+    # One field per block whose sets store bits: its payloads are read at
+    # once, and then split.  A block whose sets store nothing reads none.
+    for tag, kind in ((_TAG_MMPHF, "hashes"), (_TAG_PRED, "preds")):
         off, length = _section(blob, tag)
-        assert reads[blob[off:off + length]] <= len(ix.blocks)
+        stored = sum(any(s is not None and s.nbits for s in getattr(blk, kind))
+                     for blk in ix.blocks)
+        assert reads[blob[off:off + length]] == stored
     hashes = {id(h) for blk in back.blocks for h in blk.hashes if h is not None}
     preds = {id(p) for blk in back.blocks for p in blk.preds if p is not None}
     assert len(hashes) < pairs / 4
@@ -676,8 +682,11 @@ def test_shortcut_target_past_the_block_is_corrupt(target):
     for i in range(tw):
         byte, bit = divmod(off + i, 8)
         blob[byte] = blob[byte] & ~(1 << bit) | ((target >> i) & 1) << bit
+    # The file is sound in structure; its payload fault shows at block 0's
+    # first decode.
+    loaded = StringIndex.from_bytes(_restamp(blob))
     with pytest.raises(CorruptIndexError, match="shortcut target"):
-        StringIndex.from_bytes(bytes(blob))
+        loaded.blocks
 
 
 def test_build_and_load_leave_no_cyclic_garbage():
@@ -688,7 +697,7 @@ def test_build_and_load_leave_no_cyclic_garbage():
     gc.disable()
     try:
         blob = build(text, t=2, k=2).to_bytes()
-        StringIndex.from_bytes(blob)
+        StringIndex.from_bytes(blob).blocks  # load decodes no block until asked
         # Cycles would wait for the collector, which walks every live object.
         assert gc.collect() == 0
     finally:
@@ -708,29 +717,83 @@ def test_loaded_index_answers_as_built_with_equal_probes():
 
 @pytest.mark.parametrize("tag", [_TAG_MMPHF, _TAG_PRED], ids=["mmphf", "pred"])
 def test_hash_and_pred_bit_flips_fail_cleanly(tag):
+    """A sample of single-bit flips, the CRC re-stamped as a forger would:
+    each mutant is rejected at open, or answers each query or raises a
+    StrindexError, at its block's first decode or later.  Answers may be
+    wrong; no other exception may escape."""
     # sigma=32, k=2: predecessor buckets of 5 members keep 3 samples in a trie.
     text = _zipf_text(500, 32, seed=13)
     blob = build(text, t=2, k=2).to_bytes()
-    occ = positions_of(text)
+    rng = random.Random(tag)
+    queries = [("select", c, j) for c, positions in positions_of(text).items()
+               for j in range(1, len(positions) + 1)]
+    queries += [("rank", rng.randrange(text.sigma), rng.randrange(1, text.n))
+                for _ in range(300)]
     off, length = _section(blob, tag)
-    loaded = 0
-    for bit in range(8 * length):
+    outcomes = Counter()
+    for bit in rng.sample(range(8 * length), min(8 * length, 200)):
         flipped = bytearray(blob)
         flipped[off + bit // 8] ^= 1 << (bit % 8)
         try:
-            ix = StringIndex.from_bytes(bytes(flipped))
+            ix = StringIndex.from_bytes(_restamp(flipped))
         except CorruptIndexError:
+            outcomes["rejected at open"] += 1
             continue
-        loaded += 1
-        try:
-            for c, positions in occ.items():
-                for j in range(1, len(positions) + 1):
-                    ix.select(text, ProbeSession(), c, j)
-                for p in range(1, text.n, 7):
-                    ix.rank(text, ProbeSession(), c, p)
-        except StrindexError:
-            pass
-    assert loaded < 8 * length
+        for kind, c, arg in queries:
+            try:
+                getattr(ix, kind)(text, ProbeSession(), c, arg)
+            except StrindexError as err:
+                outcomes[type(err).__name__] += 1
+            else:
+                outcomes["answered"] += 1
+    # Mutants load, and some fail only when a query decodes their block.
+    assert outcomes["answered"] and outcomes["CorruptIndexError"], outcomes
+
+
+def test_load_decodes_a_block_at_its_first_query_only(monkeypatch):
+    """Calls of the three decoders: none at open; one select decodes the
+    sets and the table of its own block, each distinct set once; a second
+    query on that block decodes nothing."""
+    text = _zipf_text(3000, 32, seed=14)
+    built = build(text, t=2, k=2)
+    blob = built.to_bytes()
+    calls = Counter()
+    for cls in (MonotoneHash, PredIndex, ShortcutTable):
+        def counted(self, *args, _cls=cls, _decode=cls._decode):
+            calls[_cls] += 1
+            return _decode(self, *args)
+        monkeypatch.setattr(cls, "_decode", counted)
+    ix = StringIndex.from_bytes(blob)
+    assert not calls
+    b = 3
+    blk = built.blocks[b]
+    c = max(range(text.sigma), key=lambda c: blk.hashes[c].m if blk.hashes[c] else 0)
+    j = ix.before[c * (len(built.blocks) + 1) + b] + 1  # c's first occurrence in block b
+    assert ix.select(text, ProbeSession(), c, j) >= blk.start
+    assert calls == {
+        MonotoneHash: len({(h.m, h.payload) for h in blk.hashes if h is not None}),
+        PredIndex: len({(p.m, p.payload) for p in blk.preds if p is not None}),
+        ShortcutTable: 1,
+    }
+    assert [b for b, got in enumerate(ix._blocks) if got is not None] == [b]
+    calls.clear()
+    ix.rank(text, ProbeSession(), c, blk.start + blk.length - 1)
+    ix.select(text, ProbeSession(), c, j + 1)
+    assert not calls
+
+
+def test_save_round_trips_with_none_some_or_all_blocks_decoded():
+    text = _zipf_text(3000, 32, seed=14)
+    blob = build(text, t=2, k=2).to_bytes()
+    assert StringIndex.from_bytes(blob).to_bytes() == blob  # none decoded
+    ix = StringIndex.from_bytes(blob)
+    for kind, c, arg in make_workload(text, 12, seed=3):
+        getattr(ix, kind)(text, ProbeSession(), c, arg)
+    decoded = sum(blk is not None for blk in ix._blocks)
+    assert 0 < decoded < len(ix._blocks)
+    assert ix.to_bytes() == blob  # some decoded
+    assert all(blk is not None for blk in ix._blocks)
+    assert ix.to_bytes() == blob  # all decoded
 
 
 def _small_v2_file():
