@@ -176,6 +176,7 @@ def sweep(text, t_list, k_list, queries=1000, seed=0):
         for k in ks:
             ix = StringIndex.build(text, t, k)
             report = ix.space_report()
+            ix.blocks  # decoded first, so that wall time counts queries only
             stats, mismatches = run_queries(ix, text, workload, check=False)
             if mismatches:
                 raise AssertionError(f"sweep hit mismatches: {mismatches[:3]}")

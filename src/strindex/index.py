@@ -7,13 +7,17 @@ reads; a monotone hash per present symbol ranks in-block occurrences; shortcut
 tables invert the block's stable-sort permutation; a predecessor structure per
 present symbol counts occurrences below a position.  Across blocks, queries
 route through an in-memory table of each symbol's per-block counts as prefix
-sums, which build and load derive from the counts Z encodes.  The file
-stores each of these facts once, in four sections, and ends in a CRC32 of
-every byte before it.
+sums, which open derives from the counts Z encodes.  The file stores each
+of these facts once, in four sections, and ends in a CRC32 of every byte
+before it.
 
-Load checks the file's structure and its CRC, builds that table and records
-where each block's fields start, but decodes no block: a query decodes its
-block on first touch, and `blocks` every block still undecoded.
+Build encodes every block's payloads straight into those sections and then
+opens the bytes as load does.  Open checks the file's structure and its CRC,
+builds that table and records where each block's fields start, but decodes
+no block: a query decodes its block on first touch, and `blocks` every block
+still undecoded.  The index keeps the file bytes once, with its sections as
+views into them; save returns those bytes and the space report reads the
+section sizes, so neither decodes a block.
 
 select walks: block via a binary search of that table (probe-free), then one
 permutation inversion (<= 2t+1 probes).  rank reads its block's entry of the
@@ -127,9 +131,12 @@ class StringIndex:
     """Systematic rank/select index; stores counts, never symbols."""
 
     __slots__ = ("n", "sigma", "t", "k", "fingerprint", "z", "before", "_blocks",
-                 "_sections", "_pending", "_sel_budget", "_rnk_budget", "_paired")
+                 "_data", "_bits", "_sections", "_pending", "_sel_budget",
+                 "_rnk_budget", "_paired")
 
-    def __init__(self, n, sigma, t, k, fingerprint, z, before, blocks, sections=None):
+    def __init__(self, data, n, sigma, t, k, fingerprint, z, before, nblocks,
+                 sections):
+        self._data = data  # the file bytes, which to_bytes returns
         self.n = n
         self.sigma = sigma
         self.t = t
@@ -140,10 +147,12 @@ class StringIndex:
         # row's last entry is count(c).
         self.before = before
         # _blocks[b]: block b, or None until _decode reads it from _sections,
-        # which load keeps while _pending blocks are undecoded.
-        self._blocks = blocks
+        # which are kept while _pending blocks are undecoded.
+        self._blocks = [None] * nblocks
         self._sections = sections
-        self._pending = blocks.count(None)
+        self._pending = nblocks
+        # The hash, predecessor and shortcut sections' sizes in bits.
+        self._bits = tuple(offsets[-1] for _, offsets, *_ in sections)
         self._sel_budget = select_budget(t)
         self._rnk_budget = rank_budget(t, k)
         self._paired = None
@@ -152,9 +161,16 @@ class StringIndex:
 
     @classmethod
     def build(cls, text, t, k=1):
-        """Index `text` for probe budget t and predecessor sampling rate k."""
-        if t < 1:
-            raise MalformedInputError(f"probe budget t must be >= 1, got {t}")
+        """Index `text` for probe budget t and predecessor sampling rate k.
+
+        Encodes each block's hash, predecessor and shortcut payloads straight
+        into the file's sections and opens those bytes as load does, so no
+        block is decoded until a query touches it.
+        """
+        _require_integers(t=t, k=k)
+        t, k = index(t), index(k)
+        if not 1 <= t < 1 << 32:  # the header's u32 field
+            raise MalformedInputError(f"probe budget t must be in [1, 2**32), got {t}")
         n, sigma = text.n, text.sigma
         if sigma < 2:
             raise MalformedInputError(f"alphabet size must be >= 2, got {sigma}")
@@ -163,40 +179,45 @@ class StringIndex:
                 f"k={k} outside [1, {max_k(sigma)}] for sigma={sigma}"
             )
         symbols = text.symbols()
-        # Each set is encoded to the payload the file stores and decoded through
-        # the memo load uses, so equal sets share one immutable object.
-        hash_memo, pred_memo = {}, {}
-        base_row = _row(sigma, sigma)
-        blocks = []
+        hash_bits = [MonotoneHash.payload_bits(m, sigma) for m in range(sigma + 1)]
+        pred_bits = [PredIndex.payload_bits(m, sigma, k) for m in range(sigma + 1)]
+        hash_w, pred_w, short_w = BitWriter(), BitWriter(), BitWriter()
         block_counts = []
         for start in range(0, n, sigma):
             length = min(sigma, n - start)
             occ = {}
             for i, c in enumerate(symbols[start:start + length]):
                 occ.setdefault(c, []).append(i)
-            chars = sorted(occ)
             counts = [0] * sigma
-            hashes, preds = [None] * sigma, [None] * sigma
-            for c in chars:
+            pi = [0] * length
+            rank = hfield = hpos = pfield = ppos = 0
+            # Each block's payloads in symbol order, packed into one field.
+            for c in sorted(occ):
                 keys = occ[c]
                 m = counts[c] = len(keys)
-                payload = MonotoneHash.encode(keys, sigma) if m > 1 else 0
-                hashes[c] = shared(MonotoneHash, payload, m, (sigma,), hash_memo)
-                payload = PredIndex.encode(keys, sigma, k) if m > DIRECT_LIMIT else 0
-                preds[c] = shared(PredIndex, payload, m, (sigma, k), pred_memo)
-            base = _prefix_counts(counts, base_row)
-            pi = [0] * length
-            for c in chars:
-                for r, i in enumerate(occ[c], base[c]):
-                    pi[i] = r
-            shortcuts = object.__new__(ShortcutTable)._decode(
-                ShortcutTable.encode(pi, t), length, t)
-            blocks.append(_Block(start, length, base, tuple(hashes), tuple(preds),
-                                 shortcuts))
+                if m > 1:
+                    hfield |= MonotoneHash.encode(keys, sigma) << hpos
+                    hpos += hash_bits[m]
+                if m > DIRECT_LIMIT:
+                    pfield |= PredIndex.encode(keys, sigma, k) << ppos
+                    ppos += pred_bits[m]
+                for i in keys:
+                    pi[i] = rank
+                    rank += 1
+            hash_w.write(hfield, hpos)  # no bits where every set stores none
+            pred_w.write(pfield, ppos)
+            payload = ShortcutTable.encode(pi, t)
+            marks = payload & ((1 << length) - 1)
+            short_w.write(payload, length + marks.bit_count() * width(length))
             block_counts.append(counts)
-        return cls(n, sigma, t, k, text.fingerprint,
-                   unary_section(block_counts),
-                   _routing_table(block_counts), blocks)
+        sections = (unary_section(block_counts), hash_w.getvalue(),
+                    pred_w.getvalue(), short_w.getvalue())
+        sizes = list(map(len, sections))
+        offsets = accumulate(sizes, initial=_HEADER.size + _TABLE_ENTRY.size * len(_TAGS))
+        blob = b"".join([
+            _HEADER.pack(MAGIC, VERSION, n, sigma, t, k, text.fingerprint, len(_TAGS)),
+            *map(_TABLE_ENTRY.pack, _TAGS, offsets, sizes), *sections])
+        return cls.from_bytes(blob + _CRC.pack(zlib.crc32(blob)))
 
     @property
     def blocks(self):
@@ -225,7 +246,7 @@ class StringIndex:
                                      h, p, table)
         self._pending -= len(bs)
         if not self._pending:
-            self._sections = None  # the memos and payloads, which nothing reads now
+            self._sections = None  # the memos, which nothing reads now
         return blk
 
     # -- queries ---------------------------------------------------------------
@@ -329,25 +350,20 @@ class StringIndex:
     # -- space accounting -------------------------------------------------------
 
     def space_report(self):
-        z_bits = self.n + len(self.blocks) * self.sigma
-        mmphf_bits = sum(h.nbits for blk in self.blocks
-                         for h in blk.hashes if h is not None)
-        pred_bits = sum(p.nbits for blk in self.blocks
-                        for p in blk.preds if p is not None)
-        shortcut_bits = sum(blk.shortcuts.nbits for blk in self.blocks)
-        target_bits = shortcut_bits - sum(blk.length for blk in self.blocks)
-        directory_bits = (
-            sum(blk.shortcuts.directory_bits() for blk in self.blocks)
-            + sum(8 * blk.base.itemsize * len(blk.base) for blk in self.blocks)
-            + 8 * self.before.itemsize * len(self.before)
+        """Exact sizes from the section sizes open records; decodes no block."""
+        nblocks = len(self._blocks)
+        sigma = self.sigma
+        z_bits = self.n + nblocks * sigma
+        mmphf_bits, pred_bits, shortcut_bits = self._bits
+        target_bits = shortcut_bits - self.n  # past each block's mark bits
+        # Per block, a jump array over its length and a base array of sigma
+        # entries, each at the typecode of its largest entry.
+        last = self.n - (nblocks - 1) * sigma
+        directory_bits = 8 * (
+            (2 * nblocks - 1) * _row(sigma, sigma).size + _row(last, last).size
+            + self.before.itemsize * len(self.before)
         )
-        # The length to_bytes() gives, from the section sizes: the hash,
-        # predecessor and shortcut sections each pad to a whole byte.
-        total_bits = 8 * (
-            _HEADER.size + _TABLE_ENTRY.size * len(_TAGS) + len(self.z)
-            + sum((bits + 7) // 8 for bits in (mmphf_bits, pred_bits, shortcut_bits))
-            + _CRC.size
-        )
+        total_bits = 8 * len(self._data)
         component = z_bits + mmphf_bits + pred_bits + shortcut_bits
         if component > total_bits:
             raise AssertionError("component bits exceed serialized size")
@@ -370,29 +386,12 @@ class StringIndex:
     # -- serialization ------------------------------------------------------------
 
     def to_bytes(self):
-        sections = {
-            _TAG_Z: self.z,
-            _TAG_MMPHF: _write_sets(blk.hashes for blk in self.blocks),
-            _TAG_PRED: _write_sets(blk.preds for blk in self.blocks),
-            _TAG_SHORT: _write_sets((blk.shortcuts,) for blk in self.blocks),
-        }
-        header = _HEADER.pack(
-            MAGIC, VERSION, self.n, self.sigma, self.t, self.k,
-            self.fingerprint, len(_TAGS),
-        )
-        offset = len(header) + _TABLE_ENTRY.size * len(_TAGS)
-        table = bytearray()
-        body = bytearray()
-        for tag in _TAGS:
-            payload = sections[tag]
-            table += _TABLE_ENTRY.pack(tag, offset, len(payload))
-            body += payload
-            offset += len(payload)
-        blob = header + bytes(table) + bytes(body)
-        return blob + _CRC.pack(zlib.crc32(blob))
+        """The file bytes this index was built or opened from, as checked."""
+        return self._data
 
     @classmethod
     def from_bytes(cls, data):
+        data = bytes(data)  # kept once; the sections are views into it
         if len(data) < _HEADER.size:
             raise CorruptIndexError("index header truncated")
         magic, version, n, sigma, t, k, fingerprint, nsections = _HEADER.unpack_from(
@@ -413,10 +412,11 @@ class StringIndex:
         table = [_TABLE_ENTRY.unpack_from(data, _HEADER.size + i * _TABLE_ENTRY.size)
                  for i in range(nsections)]
         sections = {}
+        view = memoryview(data)
         for tag, off, length in table:
             if off + length > end:
                 raise CorruptIndexError(f"section {tag} overruns the file")
-            sections[tag] = data[off:off + length]
+            sections[tag] = view[off:off + length]
         for tag in _TAGS:
             if tag not in sections:
                 raise CorruptIndexError(f"missing section {tag}")
@@ -441,9 +441,9 @@ class StringIndex:
                 (sum(map(sizes.__getitem__, cnt)) for cnt in counts), initial=0))
             _finish_section(offsets[-1], sections[tag])
             # Kept with its memo and its map of sets that store nothing.
-            sets.append((bytes(sections[tag]), offsets, set_cls, params, sizes,
+            sets.append((sections[tag], offsets, set_cls, params, sizes,
                          {}, {0: None}))
-        shortcuts = bytes(sections[_TAG_SHORT])
+        shortcuts = sections[_TAG_SHORT]
         offsets = array("Q", [0])
         for length in lengths:
             marks = read_bits(shortcuts, offsets[-1], offsets[-1] + length)
@@ -460,9 +460,8 @@ class StringIndex:
             raise CorruptIndexError("sections do not tile the file")
         if zlib.crc32(data[:end]) != _CRC.unpack_from(data, end)[0]:
             raise CorruptIndexError("index checksum mismatch")
-        return cls(n, sigma, t, k, fingerprint, bytes(sections[_TAG_Z]),
-                   before, [None] * nblocks,
-                   (*sets, (shortcuts, offsets)))
+        return cls(data, n, sigma, t, k, fingerprint, sections[_TAG_Z], before,
+                   nblocks, (*sets, (shortcuts, offsets)))
 
 
 @lru_cache(maxsize=32)  # every block of a load asks for the same row
@@ -489,23 +488,6 @@ def _routing_table(block_counts):
     for column in zip(*block_counts):
         table.frombytes(row.pack(*accumulate(column, initial=0)))
     return table
-
-
-def _write_sets(per_block):
-    """A hash, predecessor or shortcut section: per block, the payloads of its
-    stored objects (None for no set) in order, packed into one field."""
-    bw = BitWriter()
-    for objs in per_block:
-        field = pos = 0
-        for s in objs:
-            if s is not None:
-                size = s.nbits
-                if size:
-                    field |= s.payload << pos
-                    pos += size
-        if pos:
-            bw.write(field, pos)
-    return bw.getvalue()
 
 
 def _sets(section, b, counts):
@@ -537,8 +519,8 @@ def _sets(section, b, counts):
 
 
 def _require_integers(**args):
-    """Raise MalformedInputError naming the first query argument that is not
-    an integer; a bool is one."""
+    """Raise MalformedInputError naming the first argument that is not an
+    integer; a bool is one."""
     for name, value in args.items():
         try:
             index(value)

@@ -24,14 +24,15 @@ short descent.
 
 This module also holds the codec that pred.PredIndex shares: widths(u), the
 trie payload (encode_trie, decode_trie, trie_bits) and shared(), the memo
-through which build, load and read decode every set; pred.BlindTrie keeps
-the same (shift, left, right) trie form, plus each node's leaf range.
+through which an index decodes each set at its block's first touch;
+pred.BlindTrie keeps the same (shift, left, right) trie form, plus each
+node's leaf range.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from functools import cache
+from bisect import bisect_right
+from functools import cache, lru_cache
 from itertools import islice
 from operator import lt
 
@@ -76,23 +77,35 @@ def encode_trie(keys, w, sw):
 
     `keys` are strictly increasing w-bit keys.  A leaf is a 0 bit; an
     internal node is a 1 bit and its skip in sw bits, in preorder with the
-    first field in the lowest bits; trie_bits(len(keys), sw) bits.
+    first field in the lowest bits; trie_bits(len(keys), sw) bits.  The trie
+    depends only on the bit lengths of the XORs of adjacent keys, so the
+    payload is made from those, once per distinct tuple of them.
+    """
+    return _trie(tuple((a ^ b).bit_length() for a, b in zip(keys, keys[1:])), w, sw)
+
+
+@lru_cache(maxsize=512)  # a build asks again for most of its tries
+def _trie(gaps, w, sw):
+    """encode_trie of keys whose adjacent XORs have bit lengths `gaps`.
+
+    The node over keys lo..hi-1 branches on bit top - 1, top the largest of
+    gaps[lo:hi-1], and its right subtree starts after the first pair that
+    differs there.  Its skip is the count of bits between its parent's
+    branch bit and its own.
     """
     payload = pos = 0
-    todo = [(0, len(keys), 0)]  # (lo, hi, depth) of subtrees, next on top
+    todo = [(0, len(gaps) + 1, w + 1)]  # (lo, hi, parent's top), next on top
     while todo:
-        lo, hi, depth = todo.pop()
+        lo, hi, above = todo.pop()
         if hi - lo == 1:
             pos += 1
             continue
-        d = w - (keys[lo] ^ keys[hi - 1]).bit_length()
-        payload |= (1 | (d - depth) << 1) << pos
+        top = max(gaps[lo:hi - 1])
+        payload |= (1 | (above - 1 - top) << 1) << pos
         pos += 1 + sw
-        # Keys share all bits above d; the right subtree holds those with a 1.
-        shift = w - 1 - d
-        split = bisect_left(keys, keys[hi - 1] >> shift << shift, lo + 1, hi)
-        todo.append((split, hi, d + 1))
-        todo.append((lo, split, d + 1))
+        split = gaps.index(top, lo, hi - 1) + 1
+        todo.append((split, hi, top))
+        todo.append((lo, split, top))
     return payload
 
 
@@ -167,15 +180,16 @@ def shared(cls, payload, m, params, memo):
     what cls._decode takes after m and before memo: (u,) for a MonotoneHash,
     (sigma, k) for a pred.PredIndex.
 
-    `memo` belongs to one build or load of sets of cls over the same params.
-    It maps (m, payload) to the set already decoded from it, and a bucket's
-    key to its flat trie; a hit is returned again, since neither is ever
-    changed after construction.
+    `memo` belongs to one index's sets of cls over the same params.
+    memo[m] maps a payload to the set of m members already decoded from it,
+    and memo[~s] the bits of a bucket of s keys to its trie; a hit is
+    returned again, since neither is ever changed after construction.
+    Keyed by the payload int, which the set keeps, an entry adds no key.
     """
-    key = (m, payload)
-    s = memo.get(key)
+    sets = memo.setdefault(m, {})
+    s = sets.get(payload)
     if s is None:
-        s = memo[key] = object.__new__(cls)._decode(payload, m, *params, memo)
+        s = sets[payload] = object.__new__(cls)._decode(payload, m, *params, memo)
     return s
 
 
@@ -268,7 +282,7 @@ class MonotoneHash:
 
     def _decode(self, payload, m, u, memo):
         """Fill self from the int `payload`, memoising each bucket's flat trie
-        under (_bucket, s, bits) in `memo`; raise CorruptIndexError on any
+        under memo[~s][bits]; raise CorruptIndexError on any
         field that encode() cannot produce."""
         self.m = m
         self.u = u
@@ -286,10 +300,10 @@ class MonotoneHash:
             nbits = _bucket_bits(size, sw)
             field = (payload >> pos) & ((1 << nbits) - 1)
             pos += nbits
-            key = (_bucket, size, field)
-            bucket = memo.get(key) if size > 1 else _LEAF
+            tries = memo.setdefault(~size, {})
+            bucket = tries.get(field) if size > 1 else _LEAF
             if bucket is None:
-                bucket = memo[key] = _bucket(field, size, w, sw)
+                bucket = tries[field] = _bucket(field, size, w, sw)
             buckets.append(bucket)
         self.nbits = pos
         return self

@@ -17,9 +17,9 @@ A table holds the back-pointers once, in its jump array: 1 plus the
 element's target where it is marked, 0 elsewhere, so a step tests its mark
 and finds its back-jump with one array read.  Its stored form is one
 payload int, as a hash or predecessor set has: the L mark bits, then the
-targets in mark order.  encode() walks the cycles to make that int;
-_decode() fills the jump array from it.  Build runs both, load reads the
-int and decodes it, and save writes the int the table kept.
+targets in mark order.  encode() walks the cycles to make that int, which
+build writes to the file; _decode() fills the jump array from it when a
+query first touches the table's block, in a built or a loaded index alike.
 """
 
 from __future__ import annotations
@@ -220,11 +220,7 @@ class ShortcutTable:
             f"(spacing={self.spacing})"
         )
 
-    # -- size accounting and serialization ----------------------------------
-
-    def directory_bits(self):
-        """The in-memory jump array, which the file does not store."""
-        return 8 * self.jumps.itemsize * len(self.jumps)
+    # -- serialization ----------------------------------------------------
 
     @classmethod
     def read(cls, br, length, spacing):

@@ -259,7 +259,7 @@ class PredIndex:
 
     def _decode(self, payload, m, sigma, k, memo):
         """Fill self from the int `payload`, memoising each bucket trie under
-        (BlindTrie, L, bits) in `memo`; raise CorruptIndexError on any field
+        memo[~L][bits]; raise CorruptIndexError on any field
         that encode() cannot produce."""
         self.m = m
         self.sigma = sigma
@@ -288,10 +288,10 @@ class PredIndex:
                 buckets.append((_EXPLICIT, keys))
                 stored += keys
             else:
-                key = (BlindTrie, nsamp, field)
-                trie = memo.get(key)
+                tries = memo.setdefault(~nsamp, {})
+                trie = tries.get(field)
                 if trie is None:
-                    trie = memo[key] = object.__new__(BlindTrie)._decode(
+                    trie = tries[field] = object.__new__(BlindTrie)._decode(
                         field, nsamp, w, sw
                     )
                 buckets.append((_TRIE, trie))

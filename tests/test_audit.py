@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import strindex.audit
 from strindex import MalformedInputError
 from strindex.audit import (
     BUDGET_C,
@@ -90,6 +91,20 @@ def test_sweep_records_and_exports():
     json_a = to_json(records)
     json_b = to_json(sweep(text, [1, 2], [1], queries=60, seed=3))
     assert json_a == json_b
+
+
+def test_sweep_times_queries_on_decoded_blocks_only(monkeypatch):
+    """The timed queries of a sweep point decode no block: sweep decodes
+    them all before run_queries starts its clock."""
+    pending = []
+
+    def counted(ix, *args, **kwargs):
+        pending.append(sum(blk is None for blk in ix._blocks))
+        return run_queries(ix, *args, **kwargs)
+
+    monkeypatch.setattr(strindex.audit, "run_queries", counted)
+    sweep(make_random_text(4096, 64, seed=7), [1, 2], [1], queries=60, seed=3)
+    assert pending == [0, 0]
 
 
 def test_sweep_rejects_empty_lists():

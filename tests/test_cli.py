@@ -239,6 +239,18 @@ def test_usage_errors_exit_2(sample_files, capsys, tmp_path):
     assert exc.value.code == 2
 
 
+def test_build_t_past_the_header_field_is_usage_error(sample_files, capsys, tmp_path):
+    data, _ = sample_files
+    out_ix = tmp_path / "x.idx"
+    rc, out, err = run(capsys, [
+        "build", "--input", str(data), "--format", "raw8", "--sigma", "3",
+        "--t", str(1 << 32), "--output", str(out_ix),
+    ])
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "probe budget t" in err and "Traceback" not in err
+    assert not out_ix.exists()
+
+
 def test_bench_writes_deterministic_csv_and_json(sample_files, capsys, tmp_path):
     data, _ = sample_files
     out_csv = tmp_path / "bench.csv"

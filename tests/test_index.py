@@ -38,7 +38,6 @@ from strindex.index import (
     _TAG_SHORT,
     _TAG_Z,
     _TAGS,
-    _write_sets,
 )
 import strindex.index
 from strindex.mmphf import MonotoneHash
@@ -140,6 +139,19 @@ def test_build_parameter_validation(sample_text):
         build(sample_text, t=1, k=0)
     with pytest.raises(MalformedInputError):
         build(ProbedText([0, 0, 0], 1), t=1)
+
+
+@pytest.mark.parametrize("t, k", [
+    (2.5, 1), ("2", 1), (None, 1), (2, 1.5), (2, "1"), (1 << 32, 1), (-(1 << 32), 1),
+])
+def test_build_rejects_a_t_or_k_that_is_not_a_u32_integer(sample_text, t, k):
+    """t and k are header u32 fields: a non-integer or one past 2**32 - 1 is
+    malformed input, not a TypeError, AttributeError or struct.error."""
+    with pytest.raises(MalformedInputError):
+        build(sample_text, t, k)
+    top = build(sample_text, (1 << 32) - 1, True)  # the largest t; a bool is an int
+    assert (top.t, top.k) == ((1 << 32) - 1, 1)
+    assert StringIndex.from_bytes(top.to_bytes()).t == top.t
 
 
 def test_exhaustive_small_strings():
@@ -497,16 +509,18 @@ def test_edge_text_has_an_empty_block_and_a_wide_payload():
 def test_set_sections_are_the_per_set_writes(case):
     symbols, sigma, k = case
     ix = build(ProbedText(symbols, sigma), t=2, k=k)
-    for per_block in ([blk.hashes for blk in ix.blocks],
-                      [blk.preds for blk in ix.blocks],
-                      [(blk.shortcuts,) for blk in ix.blocks]):
+    blob = ix.to_bytes()  # the bytes the index holds, which build packed
+    for tag, per_block in ((_TAG_MMPHF, [blk.hashes for blk in ix.blocks]),
+                           (_TAG_PRED, [blk.preds for blk in ix.blocks]),
+                           (_TAG_SHORT, [(blk.shortcuts,) for blk in ix.blocks])):
         bw = BitWriter()
         for objs in per_block:
             for s in objs:
                 if s is not None:
                     bw.write(s.payload, s.nbits)
-        assert _write_sets(per_block) == bw.getvalue()
-    blob = ix.to_bytes()
+        off, length = _section(blob, tag)
+        assert blob[off:off + length] == bw.getvalue()
+    assert ix.to_bytes() is blob
     assert StringIndex.from_bytes(blob).to_bytes() == blob
 
 
@@ -751,35 +765,43 @@ def test_hash_and_pred_bit_flips_fail_cleanly(tag):
 
 
 def test_load_decodes_a_block_at_its_first_query_only(monkeypatch):
-    """Calls of the three decoders: none at open; one select decodes the
-    sets and the table of its own block, each distinct set once; a second
-    query on that block decodes nothing."""
+    """Calls of the three decoders, on a loaded index and on a freshly built
+    one: none at open, nor at build, save and space report; one select
+    decodes the sets and the table of its own block, each distinct set
+    once; a second query on that block decodes nothing."""
     text = _zipf_text(3000, 32, seed=14)
     built = build(text, t=2, k=2)
     blob = built.to_bytes()
+    b = 3
+    blk = built.blocks[b]
+    report = built.space_report()
     calls = Counter()
     for cls in (MonotoneHash, PredIndex, ShortcutTable):
         def counted(self, *args, _cls=cls, _decode=cls._decode):
             calls[_cls] += 1
             return _decode(self, *args)
         monkeypatch.setattr(cls, "_decode", counted)
-    ix = StringIndex.from_bytes(blob)
-    assert not calls
-    b = 3
-    blk = built.blocks[b]
-    c = max(range(text.sigma), key=lambda c: blk.hashes[c].m if blk.hashes[c] else 0)
-    j = ix.before[c * (len(built.blocks) + 1) + b] + 1  # c's first occurrence in block b
-    assert ix.select(text, ProbeSession(), c, j) >= blk.start
-    assert calls == {
-        MonotoneHash: len({(h.m, h.payload) for h in blk.hashes if h is not None}),
-        PredIndex: len({(p.m, p.payload) for p in blk.preds if p is not None}),
-        ShortcutTable: 1,
-    }
-    assert [b for b, got in enumerate(ix._blocks) if got is not None] == [b]
-    calls.clear()
-    ix.rank(text, ProbeSession(), c, blk.start + blk.length - 1)
-    ix.select(text, ProbeSession(), c, j + 1)
-    assert not calls
+    for opened in ("loaded", "built"):
+        if opened == "loaded":
+            ix = StringIndex.from_bytes(blob)
+        else:
+            ix = build(text, t=2, k=2)
+            assert ix.to_bytes() == blob
+            assert ix.space_report() == report
+        assert not calls, opened
+        c = max(range(text.sigma), key=lambda c: blk.hashes[c].m if blk.hashes[c] else 0)
+        j = ix.before[c * (len(built.blocks) + 1) + b] + 1  # c's first occurrence in block b
+        assert ix.select(text, ProbeSession(), c, j) >= blk.start
+        assert calls == {
+            MonotoneHash: len({(h.m, h.payload) for h in blk.hashes if h is not None}),
+            PredIndex: len({(p.m, p.payload) for p in blk.preds if p is not None}),
+            ShortcutTable: 1,
+        }, opened
+        assert [b for b, got in enumerate(ix._blocks) if got is not None] == [b]
+        calls.clear()
+        ix.rank(text, ProbeSession(), c, blk.start + blk.length - 1)
+        ix.select(text, ProbeSession(), c, j + 1)
+        assert not calls, opened
 
 
 def test_save_round_trips_with_none_some_or_all_blocks_decoded():
@@ -792,7 +814,8 @@ def test_save_round_trips_with_none_some_or_all_blocks_decoded():
     decoded = sum(blk is not None for blk in ix._blocks)
     assert 0 < decoded < len(ix._blocks)
     assert ix.to_bytes() == blob  # some decoded
-    assert all(blk is not None for blk in ix._blocks)
+    assert sum(blk is not None for blk in ix._blocks) == decoded  # save decodes none
+    assert all(blk is not None for blk in ix.blocks)
     assert ix.to_bytes() == blob  # all decoded
 
 
