@@ -125,43 +125,38 @@ def make_workload(text, count, seed):
 
 
 def run_queries(ix, text, queries, check=True):
-    """Execute a workload; returns (stats dict, mismatch list)."""
+    """Execute a workload; returns (stats dict, mismatch list).  For each of
+    rank and select, stats holds the probes per query as a max, a mean and
+    nearest-rank p50 and p99."""
     ref = Reference(text) if check else None
     mismatches = []
-    rank_max = select_max = 0
-    rank_sum = select_sum = 0
-    rank_n = select_n = 0
+    probes = {"rank": [], "select": []}
     t0 = time.perf_counter()
     for kind, c, arg in queries:
         session = ProbeSession()
-        if kind == "rank":
-            got = ix.rank(text, session, c, arg)
-            rank_max = max(rank_max, session.count)
-            rank_sum += session.count
-            rank_n += 1
-            if check and got != ref.rank(c, arg):
-                mismatches.append(
-                    f"rank({c},{arg}): index={got} oracle={ref.rank(c, arg)}"
-                )
-        else:
-            got = ix.select(text, session, c, arg)
-            select_max = max(select_max, session.count)
-            select_sum += session.count
-            select_n += 1
-            if check and got != ref.select(c, arg):
-                mismatches.append(
-                    f"select({c},{arg}): index={got} oracle={ref.select(c, arg)}"
-                )
+        got = getattr(ix, kind)(text, session, c, arg)
+        probes[kind].append(session.count)
+        if check:
+            want = getattr(ref, kind)(c, arg)
+            if got != want:
+                mismatches.append(f"{kind}({c},{arg}): index={got} oracle={want}")
     elapsed = time.perf_counter() - t0
-    stats = {
-        "queries": len(queries),
-        "rank_probes_max": rank_max,
-        "rank_probes_mean": rank_sum / rank_n if rank_n else 0.0,
-        "select_probes_max": select_max,
-        "select_probes_mean": select_sum / select_n if select_n else 0.0,
-        "wall_us_per_query": 1e6 * elapsed / len(queries) if queries else 0.0,
-    }
+    stats = {"queries": len(queries)}
+    for kind, counts in probes.items():
+        counts.sort()
+        stats[f"{kind}_probes_max"] = counts[-1] if counts else 0
+        stats[f"{kind}_probes_mean"] = sum(counts) / len(counts) if counts else 0.0
+        stats[f"{kind}_probes_p50"] = _percentile(counts, 50)
+        stats[f"{kind}_probes_p99"] = _percentile(counts, 99)
+    stats["wall_us_per_query"] = 1e6 * elapsed / len(queries) if queries else 0.0
     return stats, mismatches
+
+
+def _percentile(ascending, q):
+    """Nearest-rank q-th percentile of an ascending list; 0 when it is empty."""
+    if not ascending:
+        return 0
+    return ascending[max(0, math.ceil(q / 100 * len(ascending)) - 1)]
 
 
 def sweep(text, t_list, k_list, queries=1000, seed=0):

@@ -134,16 +134,16 @@ def cmd_verify(args, parser):
     ix.check_pairing(text)
     queries = audit.make_workload(text, args.queries, args.seed)
     stats, mismatches = audit.run_queries(ix, text, queries, check=True)
-    budget_ok = (
-        stats["select_probes_max"] <= select_budget(ix.t)
-        and stats["rank_probes_max"] <= rank_budget(ix.t, ix.k)
-    )
+    budgets = {"rank": rank_budget(ix.t, ix.k), "select": select_budget(ix.t)}
+    budget_ok = all(stats[kind + "_probes_max"] <= b for kind, b in budgets.items())
     print(f"checked {stats['queries']} queries: {len(mismatches)} mismatches")
     print(
-        f"probe maxima: rank={stats['rank_probes_max']} "
-        f"(budget {rank_budget(ix.t, ix.k)}), "
-        f"select={stats['select_probes_max']} (budget {select_budget(ix.t)})"
+        f"probe maxima: rank={stats['rank_probes_max']} (budget {budgets['rank']}), "
+        f"select={stats['select_probes_max']} (budget {budgets['select']})"
     )
+    print("probe distribution: " + ", ".join(
+        f"{kind} p50={stats[kind + '_probes_p50']} p99={stats[kind + '_probes_p99']} "
+        f"slack={b - stats[kind + '_probes_max']}" for kind, b in budgets.items()))
     for miss in mismatches[:10]:
         print(f"MISMATCH {miss}")
     if mismatches or not budget_ok:

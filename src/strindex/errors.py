@@ -1,5 +1,7 @@
 """Exception taxonomy shared by all strindex modules."""
 
+from operator import index
+
 
 class StrindexError(Exception):
     """Base class for every error raised by this package."""
@@ -39,3 +41,13 @@ class PairingError(StrindexError):
 
 class ProbeBudgetError(StrindexError):
     """Internal guard: a query exceeded its probe or accessor-call budget."""
+
+
+def require_integers(**args):
+    """Raise MalformedInputError naming the first argument that is not an
+    integer; a bool is one."""
+    for name, value in args.items():
+        try:
+            index(value)
+        except TypeError:
+            raise MalformedInputError(f"{name} must be an integer, got {value!r}") from None

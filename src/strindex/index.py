@@ -47,6 +47,7 @@ from .errors import (
     PairingError,
     ProbeBudgetError,
     StrindexError,
+    require_integers,
 )
 from .mmphf import MonotoneHash, shared
 from .perm import ShortcutTable, eval_budget
@@ -167,7 +168,7 @@ class StringIndex:
         into the file's sections and opens those bytes as load does, so no
         block is decoded until a query touches it.
         """
-        _require_integers(t=t, k=k)
+        require_integers(t=t, k=k)
         t, k = index(t), index(k)
         if not 1 <= t < 1 << 32:  # the header's u32 field
             raise MalformedInputError(f"probe budget t must be in [1, 2**32), got {t}")
@@ -196,10 +197,10 @@ class StringIndex:
                 keys = occ[c]
                 m = counts[c] = len(keys)
                 if m > 1:
-                    hfield |= MonotoneHash.encode(keys, sigma) << hpos
+                    hfield |= MonotoneHash._encode(keys, sigma) << hpos
                     hpos += hash_bits[m]
                 if m > DIRECT_LIMIT:
-                    pfield |= PredIndex.encode(keys, sigma, k) << ppos
+                    pfield |= PredIndex._encode(keys, sigma, k) << ppos
                     ppos += pred_bits[m]
                 for i in keys:
                     pi[i] = rank
@@ -272,7 +273,7 @@ class StringIndex:
         try:
             sym = text.access(session, i)
         except (TypeError, StrindexError):
-            _require_integers(i=i)
+            require_integers(i=i)
             raise
         if session.count - before != 1:
             raise ProbeBudgetError("access must cost exactly one probe")
@@ -303,7 +304,7 @@ class StringIndex:
                 base[c] + jp - 1, text, session, blk.start, base, blk.hashes
             )
         except (TypeError, StrindexError):
-            _require_integers(c=c, j=j)
+            require_integers(c=c, j=j)
             raise
         if session.count - before > self._sel_budget:
             raise ProbeBudgetError(
@@ -338,7 +339,7 @@ class StringIndex:
                     answer += pred.count(p_local, blk.shortcuts.walk, base[c], text,
                                          session, blk.start, base, blk.hashes)
         except (TypeError, StrindexError):
-            _require_integers(c=c, p=p)
+            require_integers(c=c, p=p)
             raise
         if session.count - before > self._rnk_budget:
             raise ProbeBudgetError(
@@ -516,16 +517,6 @@ def _sets(section, b, counts):
                 s = empty[m] = shared(cls, 0, m, params, memo)
             sets[c] = s
     return tuple(sets)
-
-
-def _require_integers(**args):
-    """Raise MalformedInputError naming the first argument that is not an
-    integer; a bool is one."""
-    for name, value in args.items():
-        try:
-            index(value)
-        except TypeError:
-            raise MalformedInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _finish_section(nbits, payload):

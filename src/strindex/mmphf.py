@@ -20,7 +20,10 @@ per-node tuples, where node i tests bit shift[i] of x and a child < 0 is the
 leaf ~rank.  A one-key bucket is the shared empty triple and a two-key bucket
 a one-node trie; equal triples decoded through one memo are one object.
 Evaluation is a binary search over separators, when there are any, plus one
-short descent.
+short descent.  A query runs it inside perm.ShortcutTable.walk, which reads
+a hash's _samples, _w and _buckets itself, so that a pi step makes no Python
+call; MonotoneHash.eval is the same evaluation as a method, the reference
+that the tests hold the walk to.
 
 This module also holds the codec that pred.PredIndex shares: widths(u), the
 trie payload (encode_trie, decode_trie, trie_bits) and shared(), the memo
@@ -34,10 +37,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cache, lru_cache
 from itertools import islice
-from operator import lt
+from operator import index, lt
 
 from .bits import split_fields, width
-from .errors import CorruptIndexError, MalformedInputError
+from .errors import CorruptIndexError, MalformedInputError, require_integers
 
 # Audit constants for the size bound checked by tests:
 # h.nbits <= SIZE_C * m * log2(log2(u)) + SIZE_CPRIME * (m / beta) * log2(u).
@@ -68,8 +71,15 @@ def increasing_below(keys, u):
 
 
 def require_increasing_below(keys, u, what):
-    if not increasing_below(keys, u):
-        raise MalformedInputError(f"{what} must be strictly increasing in [0, {u})")
+    """Raise MalformedInputError unless keys are integers (a bool is one) and
+    increasing_below(keys, u)."""
+    try:
+        ok = increasing_below(list(map(index, keys)), u)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise MalformedInputError(
+            f"{what} must be strictly increasing integers in [0, {u})")
 
 
 def encode_trie(keys, w, sw):
@@ -209,15 +219,22 @@ class MonotoneHash:
 
     @staticmethod
     def encode(keys, u):
-        """The payload stored for the strictly increasing keys over [u].
+        """The payload stored for the strictly increasing integer keys over
+        [u]; MalformedInputError for any other keys.  See _encode()."""
+        if u < 1:
+            raise MalformedInputError(f"universe size must be positive, got {u}")
+        require_increasing_below(keys, u, "keys")
+        return MonotoneHash._encode(keys, u)
+
+    @staticmethod
+    def _encode(keys, u):
+        """encode() without its checks, for keys that cannot fail them, as
+        build's in-block positions cannot.
 
         Samples come first, w bits each, then each bucket in turn: nothing
         for one key, the branch depth in sw bits for two, and encode_trie for
         more.
         """
-        if u < 1:
-            raise MalformedInputError(f"universe size must be positive, got {u}")
-        require_increasing_below(keys, u, "keys")
         w, sw = widths(u)
         m = len(keys)
         payload = pos = 0
@@ -237,7 +254,12 @@ class MonotoneHash:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, x):
-        """Rank of x in the key set when x is a member; arbitrary otherwise."""
+        """Rank of x in the key set when x is a member; arbitrary otherwise.
+
+        The reference form of the step that perm.ShortcutTable.walk inlines;
+        a non-integer x raises MalformedInputError.
+        """
+        require_integers(x=x)
         samples = self._samples
         if samples:
             j = bisect_right(samples, x)

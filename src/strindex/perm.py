@@ -6,12 +6,14 @@ forward from the cycle's minimum) is marked and stores the element spacing
 steps behind it.  Inverting then walks forward from the query, takes at
 most one back-jump at the first marked element, and walks on until the
 predecessor shows up; the gap structure bounds the forward evaluations by
-2 * spacing + 1.  walk() is that one loop, with a block's pi step inlined.
-Each step reads one symbol through the text's read-only view (reads), and
-the walk charges its session once, with the number of steps it made, on
-every way out: its answer, a ProbeBudgetError, or a CorruptIndexError for
-an index that disagrees with its text.  The step count is the loop
-variable, so no step pays for a counter or a call.
+2 * spacing + 1.  walk() is that one loop, with a block's pi step inlined:
+each step reads one symbol through the text's read-only view (reads) and
+evaluates the symbol's mmphf.MonotoneHash in the loop, a binary search of
+its samples and a descent of one bucket's flat trie, so that a step makes
+no Python call.  The walk charges its session once, with the number of
+steps it made, on every way out: its answer, a ProbeBudgetError, or a
+CorruptIndexError for an index that disagrees with its text.  The step
+count is the loop variable, so no step pays for a counter either.
 
 A table holds the back-pointers once, in its jump array: 1 plus the
 element's target where it is marked, 0 elsewhere, so a step tests its mark
@@ -25,6 +27,7 @@ query first touches the table's block, in a built or a loaded index alike.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress, count
 from operator import index
@@ -35,7 +38,9 @@ from .errors import (
     MalformedInputError,
     OutOfRangeError,
     ProbeBudgetError,
+    require_integers,
 )
+from .mmphf import MonotoneHash
 from .text import ProbeSession
 
 
@@ -65,19 +70,18 @@ class _Forward:
         return y
 
 
-class _NoOffset:
-    """walk()'s hashes for a plain evaluator: every symbol's offset is 0."""
+class _OneKey:
+    """walk()'s hashes for a plain evaluator: every symbol's hash has one key,
+    so its offset is 0."""
 
     __slots__ = ()
 
     def __getitem__(self, c):
-        return self
-
-    def eval(self, x):
-        return 0
+        return _ONE_KEY
 
 
-_NO_OFFSET = _NoOffset()
+_ONE_KEY = MonotoneHash([0], 2)
+_NO_OFFSET = _OneKey()
 
 
 def eval_budget(spacing):
@@ -173,8 +177,9 @@ class ShortcutTable:
 
     def invert(self, q, pi):
         """Return i with pi(i) == q, using at most eval_budget(spacing) calls.
-        A pi value outside [0, L) raises OutOfRangeError, and one that is not
-        an integer MalformedInputError."""
+        A q or pi value outside [0, L) raises OutOfRangeError, and one that
+        is not an integer MalformedInputError."""
+        require_integers(q=q)
         return self.walk(q, _Forward(pi, self.length), ProbeSession(), 0,
                          range(self.length), _NO_OFFSET)
 
@@ -184,7 +189,11 @@ class ShortcutTable:
             c = text.reads[start + x]
             pi(x) = base[c] + hashes[c].eval(x)
 
-        Walks forward from q, reads each element's jump entry until the one
+        with that eval done in the loop: a binary search of the hash's
+        samples, where it has any, picks bucket b, whose first rank is b * w,
+        and a descent of the bucket's flat trie on x's bits adds the leaf's
+        rank (nothing for a one-key bucket, which has no node).  Walks
+        forward from q, reads each element's jump entry until the one
         back-jump, and stops when q shows up again; at most
         eval_budget(spacing) reads.  The reads are charged to session once,
         on whichever way the walk ends.  A symbol whose hash is None (the
@@ -205,7 +214,20 @@ class ShortcutTable:
                         x = j - 1
                         jumps = None  # one back-jump at most
                 c = reads[start + x]
-                y = base[c] + hashes[c].eval(x)
+                h = hashes[c]
+                samples = h._samples
+                if samples:
+                    b = bisect_right(samples, x)
+                    shift, left, right = h._buckets[b]
+                    y = base[c] + b * h._w
+                else:
+                    shift, left, right = h._buckets[0]
+                    y = base[c]
+                if shift:
+                    node = 0
+                    while node >= 0:
+                        node = right[node] if (x >> shift[node]) & 1 else left[node]
+                    y += ~node
                 if y == q:
                     return x
                 x = y

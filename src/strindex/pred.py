@@ -31,7 +31,12 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .bits import split_fields, width
-from .errors import CorruptIndexError, MalformedInputError, ProbeBudgetError
+from .errors import (
+    CorruptIndexError,
+    MalformedInputError,
+    ProbeBudgetError,
+    require_integers,
+)
 from .mmphf import (
     decode_trie,
     encode_trie,
@@ -81,6 +86,7 @@ class BlindTrie:
         keys = list(keys)
         if len(keys) < 1:
             raise MalformedInputError("blind trie needs at least one key")
+        require_increasing_below(keys, 1 << w, "keys")
         sw = width(w)
         self._decode(encode_trie(keys, w, sw), len(keys), w, sw)
 
@@ -127,6 +133,7 @@ class BlindTrie:
     def predecessor(self, p, fetch):
         """Leaf rank of the largest key < p, or None; exactly one fetch of a
         leaf rank's key.  PredIndex.count runs the same two passes."""
+        require_integers(p=p)
         leaf = self.leaf(p)
         return self.settle(p, leaf, fetch(leaf))
 
@@ -148,20 +155,28 @@ class PredIndex:
 
     @staticmethod
     def encode(members, sigma, k):
-        """The payload stored for strictly increasing members of [sigma].
+        """The payload stored for strictly increasing integer members of
+        [sigma] at rate k; MalformedInputError for any other.  See _encode()."""
+        w = widths(sigma)[0]
+        if not 1 <= k <= w:
+            raise MalformedInputError(f"k={k} outside [1, {w}]")
+        require_increasing_below(members, sigma, "members")
+        return PredIndex._encode(members, sigma, k)
+
+    @staticmethod
+    def _encode(members, sigma, k):
+        """encode() without its checks, for members and a k that cannot fail
+        them, as build's in-block positions and checked k cannot.
 
         Nothing up to DIRECT_LIMIT members.  Otherwise every g-th member
         (the top keys) in w = g bits each, then each bucket in turn: its
         samples past the first in w bits each, or, past two samples, their
         encode_trie.
         """
-        w, sw = widths(sigma)
-        if not 1 <= k <= w:
-            raise MalformedInputError(f"k={k} outside [1, {w}]")
-        require_increasing_below(members, sigma, "members")
         m = len(members)
         if m <= DIRECT_LIMIT:
             return 0
+        w, sw = widths(sigma)
         payload = pos = 0
         for key in members[::w]:
             payload |= key << pos
@@ -179,7 +194,9 @@ class PredIndex:
 
     def rank(self, p, fetch):
         """Count of members < p, where fetch(r) is the member of rank r;
-        0 <= p <= sigma.  An adapter over count()."""
+        0 <= p <= sigma.  An adapter over count(); a non-integer p raises
+        MalformedInputError."""
+        require_integers(p=p)
         return self.count(p, lambda r, *_: fetch(r), 0, None, None, None, None, None)
 
     def count(self, p, walk, first, text, session, start, base, hashes):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import strindex.audit
-from strindex import MalformedInputError
+from strindex import MalformedInputError, ProbeSession
 from strindex.audit import (
     BUDGET_C,
     CSV_COLUMNS,
@@ -73,6 +73,26 @@ def test_run_queries_detects_mismatches():
     assert mismatches == []
     assert stats["queries"] > 0
     assert stats["select_probes_max"] <= select_budget(2)
+
+
+def test_run_queries_reports_nearest_rank_probe_percentiles():
+    text = make_random_text(2048, 32, seed=8)
+    ix = build(text, t=4, k=2)
+    queries = make_workload(text, 300, 2)
+    stats, _ = run_queries(ix, text, queries, check=False)
+    for kind in ("rank", "select"):
+        probes = []
+        for q, c, arg in queries:
+            if q == kind:
+                session = ProbeSession()
+                getattr(ix, kind)(text, session, c, arg)
+                probes.append(session.count)
+        probes.sort()
+        n = len(probes)
+        assert stats[f"{kind}_probes_p50"] == probes[(n + 1) // 2 - 1]
+        assert stats[f"{kind}_probes_p99"] == probes[-(-99 * n // 100) - 1]
+        assert stats[f"{kind}_probes_max"] == probes[-1]
+        assert stats[f"{kind}_probes_p50"] <= stats[f"{kind}_probes_p99"] <= probes[-1]
 
 
 def test_sweep_records_and_exports():

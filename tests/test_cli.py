@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import struct
 import zlib
 
@@ -91,6 +92,10 @@ def test_verify_ok(sample_files, capsys):
     ])
     assert rc == 0
     assert "0 mismatches" in out
+    lines = out.splitlines()
+    assert lines[1].startswith("probe maxima: ")
+    assert re.fullmatch(r"probe distribution: rank p50=\d+ p99=\d+ slack=\d+, "
+                        r"select p50=\d+ p99=\d+ slack=\d+", lines[2])
 
 
 def check_verify_rejects_query_count(sample_files, capsys, queries):

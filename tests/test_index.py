@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import struct
+import sys
 import zlib
 from array import array
 from bisect import bisect_right
@@ -1019,3 +1020,101 @@ def test_an_index_that_disagrees_with_its_text_fails_cleanly(monkeypatch):
     for kind in ("select", "rank"):
         assert errors[kind, CorruptIndexError] and errors[kind, ProbeBudgetError]
     assert max(walks) == eval_budget(ix.t)
+
+
+def _hash_kind(h):
+    """A hash's kind as walk() meets it: sampled, or its one bucket's."""
+    if h._samples:
+        return "sampled"
+    return ("one key", "pair")[len(h._buckets[0][0])] if h.m < 3 else "trie"
+
+
+_PINNED_INDEXES = [("uniform", 4), ("zipf", 2)]  # t, with k = 2, as pinned
+
+
+@pytest.mark.parametrize("name, t", _PINNED_INDEXES,
+                         ids=[name for name, _ in _PINNED_INDEXES])
+def test_a_walk_steps_as_the_reference_hash_does(name, t):
+    """Every select's walk, as a recording text logged its reads: each read
+    is the q the select asks for or its back-jump, then base[c] +
+    MonotoneHash.eval(x) of the read before it, or that value's back-jump,
+    and the last read's step is q.  The walks meet a hash of every kind."""
+    text = _PINNED_TEXTS[name]
+    ix = build(text, t, k=2)
+    rec = RecordingText(text)
+    symbols = text.symbols()
+    sigma = text.sigma
+    kinds = set()
+    for c in range(sigma):
+        for j, got in enumerate(positions_of(text).get(c, ()), 1):
+            rec.log.clear()
+            assert ix.select(rec, ProbeSession(), c, j) == got
+            blk = ix.blocks[got // sigma]
+            jumps = blk.shortcuts.jumps
+            q = blk.base[c] + list(symbols[blk.start:got]).count(c)
+            x = q
+            for i, read in enumerate(rec.log):
+                if jumps is not None and jumps[x]:
+                    x = jumps[x] - 1
+                    jumps = None
+                assert read == blk.start + x, (c, j, rec.log)
+                h = blk.hashes[symbols[read]]
+                kinds.add(_hash_kind(h))
+                x = blk.base[symbols[read]] + h.eval(x)
+            assert x == q and rec.log[-1] == got
+    assert kinds >= ({"one key", "pair", "trie"} if name == "uniform" else {"sampled"})
+
+
+def _python_calls(query):
+    """query()'s Python function calls by name, and the type of the
+    StrindexError it raised or None.  sys.setprofile reports each call of a
+    Python function, not of a C one such as a memoryview read."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    error = None
+    sys.setprofile(profile)
+    try:
+        query()
+    except StrindexError as err:
+        error = type(err)
+    finally:
+        sys.setprofile(None)
+    return calls, error
+
+
+def test_a_walk_makes_no_python_call_per_step():
+    """A select or a one-walk rank on a t = 16 index makes the same Python
+    calls after a walk of 1 step as after one of t, the most a walk over
+    its own text takes.  On an index forged under the text's fingerprint,
+    a walk that runs out its 2t+1 steps makes those of a failing 1-step
+    walk and the one eval_budget call of its error message.  It counts
+    calls; it times nothing."""
+    t = 16
+    text = make_random_text(4096, 64, seed=1)
+    blob = build(make_random_text(4096, 64, seed=2), t, k=1).to_bytes()
+    forged = StringIndex.from_bytes(_restamp(_patch_header(blob, fingerprint=text.fingerprint)))
+    queries = [("select", c, j) for c in range(text.sigma) for j in range(1, 40)]
+    queries += [("rank", c, p) for c in range(text.sigma) for p in range(1, text.n, 61)]
+    groups = {}  # (forged, kind, error) -> {calls: the step counts seen}
+    for ix in build(text, t, k=1), forged:
+        ix.blocks
+        ix.check_pairing(text)
+        for kind, c, arg in queries:
+            session = ProbeSession()
+            calls, error = _python_calls(lambda: getattr(ix, kind)(text, session, c, arg))
+            if calls["walk"] == 1:
+                key = tuple(sorted(calls.items()))
+                groups.setdefault((ix is forged, kind, error), {}).setdefault(
+                    key, set()).add(session.count)
+    for kind in ("select", "rank"):
+        (steps,) = groups[False, kind, None].values()
+        assert {1, t} <= steps and max(steps) == t
+        ((failing, steps),) = groups[True, kind, CorruptIndexError].items()
+        assert 1 in steps
+        ((spent, steps),) = groups[True, kind, ProbeBudgetError].items()
+        assert steps == {eval_budget(t)}
+        assert Counter(dict(spent)) == Counter(dict(failing)) + Counter(eval_budget=1)

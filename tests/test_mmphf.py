@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strindex import CorruptIndexError, MalformedInputError, MonotoneHash
+from strindex import (
+    CorruptIndexError,
+    MalformedInputError,
+    MonotoneHash,
+    PredIndex,
+    ShortcutTable,
+)
 from strindex.bits import BitReader, BitWriter, width
 from strindex.mmphf import (
     SIZE_C,
@@ -316,3 +322,41 @@ def test_encode_rejects_what_the_constructor_rejects(keys, u):
         MonotoneHash.encode(keys, u)
     with pytest.raises(MalformedInputError):
         MonotoneHash(keys, u)
+
+
+_PI = [3, 0, 4, 1, 2, 6, 5, 9, 7, 8]
+_KEYS = [1, 3, 4, 9, 12]
+_MEMBERS = list(range(0, 40, 2))  # past DIRECT_LIMIT: a top array and buckets
+_EVALUATORS = {
+    "invert": lambda q: ShortcutTable(_PI.__getitem__, 10, 2).invert(q, _PI.__getitem__),
+    "eval": lambda x: MonotoneHash(_KEYS, 16).eval(x),
+    "rank": lambda p: PredIndex(_MEMBERS, 64, 2).rank(p, _MEMBERS.__getitem__),
+    "predecessor": lambda p: BlindTrie(_KEYS, 4).predecessor(p, _KEYS.__getitem__),
+}
+
+
+@pytest.mark.parametrize("arg", [1.5, 2.0, "1", None])
+@pytest.mark.parametrize("name", sorted(_EVALUATORS))
+def test_public_evaluators_reject_a_non_integer(name, arg):
+    """The adapters over a plain evaluator raise MalformedInputError for a
+    non-integer argument, and take True as 1."""
+    evaluate = _EVALUATORS[name]
+    with pytest.raises(MalformedInputError, match="must be an integer"):
+        evaluate(arg)
+    assert evaluate(True) == evaluate(1)
+
+
+@pytest.mark.parametrize("keys", [
+    [0.5, 1], [2.0], [1.5, 2], [0.5, 3, 9], [i + 0.5 for i in range(20)], ["1", "2"],
+])
+@pytest.mark.parametrize("make", [
+    lambda keys: MonotoneHash(keys, 64),
+    lambda keys: MonotoneHash.encode(keys, 64),
+    lambda keys: PredIndex(keys, 64, 1),
+    lambda keys: PredIndex.encode(keys, 64, 1),
+    lambda keys: BlindTrie(keys, 6),
+], ids=["hash", "hash-encode", "pred", "pred-encode", "blind-trie"])
+def test_sets_reject_non_integer_keys(make, keys):
+    with pytest.raises(MalformedInputError, match="strictly increasing integers"):
+        make(keys)
+    make([False, True])  # a bool is an integer
