@@ -14,6 +14,7 @@ from __future__ import annotations
 import struct
 from array import array
 from bisect import bisect_left
+from operator import lshift
 
 from .errors import CorruptIndexError, NotFoundError, OutOfRangeError
 
@@ -38,6 +39,12 @@ def split_fields(value, count, w):
     """The `count` consecutive w-bit fields of `value`, lowest bits first."""
     mask = (1 << w) - 1
     return [(value >> (i * w)) & mask for i in range(count)]
+
+
+def join_fields(values, w):
+    """The int whose consecutive w-bit fields, lowest first, are `values`;
+    split_fields inverts it."""
+    return sum(map(lshift, values, range(0, len(values) * w, w or 1)))
 
 
 class BitBuilder:

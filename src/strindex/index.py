@@ -50,11 +50,11 @@ from .errors import (
     require_integers,
 )
 from .mmphf import MonotoneHash, shared
-from .perm import ShortcutTable, eval_budget
+from .perm import ShortcutTable, eval_budget, stored_bits
 from .pred import DIRECT_LIMIT, PredIndex, budget as scall_budget
 
 MAGIC = b"SSIX"
-VERSION = 3
+VERSION = 4
 
 _TAG_Z = 2
 _TAG_MMPHF = 3
@@ -152,8 +152,9 @@ class StringIndex:
         self._blocks = [None] * nblocks
         self._sections = sections
         self._pending = nblocks
-        # The hash, predecessor and shortcut sections' sizes in bits.
-        self._bits = tuple(offsets[-1] for _, offsets, *_ in sections)
+        # The hash, predecessor and shortcut sections' sizes in bits, and the
+        # shortcut target fields' share of the last.
+        self._bits = (*(offsets[-1] for _, offsets, *_ in sections), sections[-1][-1])
         self._sel_budget = select_budget(t)
         self._rnk_budget = rank_budget(t, k)
         self._paired = None
@@ -208,8 +209,7 @@ class StringIndex:
             hash_w.write(hfield, hpos)  # no bits where every set stores none
             pred_w.write(pfield, ppos)
             payload = ShortcutTable.encode(pi, t)
-            marks = payload & ((1 << length) - 1)
-            short_w.write(payload, length + marks.bit_count() * width(length))
+            short_w.write(payload, stored_bits(payload, length, t)[0])
             block_counts.append(counts)
         sections = (unary_section(block_counts), hash_w.getvalue(),
                     pred_w.getvalue(), short_w.getvalue())
@@ -232,7 +232,7 @@ class StringIndex:
         encoder cannot make raises CorruptIndexError and keeps none.  Each
         section is decoded for all of bs in turn, which decodes every block
         faster than block by block does."""
-        hashes, preds, (shortcuts, offsets) = self._sections
+        hashes, preds, (shortcuts, offsets, _) = self._sections
         blocks, before, sigma = self._blocks, self.before, self.sigma
         stride = len(blocks) + 1
         counts = [list(map(sub, before[b + 1::stride], before[b::stride])) for b in bs]
@@ -355,8 +355,7 @@ class StringIndex:
         nblocks = len(self._blocks)
         sigma = self.sigma
         z_bits = self.n + nblocks * sigma
-        mmphf_bits, pred_bits, shortcut_bits = self._bits
-        target_bits = shortcut_bits - self.n  # past each block's mark bits
+        mmphf_bits, pred_bits, shortcut_bits, target_bits = self._bits
         # Per block, a jump array over its length and a base array of sigma
         # entries, each at the typecode of its largest entry.
         last = self.n - (nblocks - 1) * sigma
@@ -431,7 +430,7 @@ class StringIndex:
         before = _routing_table(counts)
 
         # Where each block's field starts in each section: a set's size
-        # depends only on its m, and a shortcut table's on its mark count.
+        # depends only on its m, and a shortcut table's on its leading field.
         # No m exceeds sigma or the count of its symbol, a row's last entry.
         top = min(sigma, max(before[nblocks::nblocks + 1]))
         sets = []
@@ -446,9 +445,12 @@ class StringIndex:
                          {}, {0: None}))
         shortcuts = sections[_TAG_SHORT]
         offsets = array("Q", [0])
-        for length in lengths:
-            marks = read_bits(shortcuts, offsets[-1], offsets[-1] + length)
-            offsets.append(offsets[-1] + length + marks.bit_count() * width(length))
+        target_bits = 0
+        for length in lengths:  # a leading field is at most `length` bits
+            nbits, targets = stored_bits(
+                read_bits(shortcuts, offsets[-1], offsets[-1] + length), length, t)
+            offsets.append(offsets[-1] + nbits)
+            target_bits += targets
         _finish_section(offsets[-1], shortcuts)
 
         # Checked after the section sizes, so that each of them names its
@@ -462,7 +464,7 @@ class StringIndex:
         if zlib.crc32(data[:end]) != _CRC.unpack_from(data, end)[0]:
             raise CorruptIndexError("index checksum mismatch")
         return cls(data, n, sigma, t, k, fingerprint, sections[_TAG_Z], before,
-                   nblocks, (*sets, (shortcuts, offsets)))
+                   nblocks, (*sets, (shortcuts, offsets, target_bits)))
 
 
 @lru_cache(maxsize=32)  # every block of a load asks for the same row

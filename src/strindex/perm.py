@@ -2,26 +2,35 @@
 
 A permutation pi over [L] is augmented with back-shortcuts: along every
 non-trivial cycle of length >= spacing, every spacing-th element (walking
-forward from the cycle's minimum) is marked and stores the element spacing
-steps behind it.  Inverting then walks forward from the query, takes at
-most one back-jump at the first marked element, and walks on until the
-predecessor shows up; the gap structure bounds the forward evaluations by
-2 * spacing + 1.  walk() is that one loop, with a block's pi step inlined:
-each step reads one symbol through the text's read-only view (reads) and
-evaluates the symbol's mmphf.MonotoneHash in the loop, a binary search of
-its samples and a descent of one bucket's flat trie, so that a step makes
-no Python call.  The walk charges its session once, with the number of
-steps it made, on every way out: its answer, a ProbeBudgetError, or a
-CorruptIndexError for an index that disagrees with its text.  The step
-count is the loop variable, so no step pays for a counter either.
+forward from the cycle's minimum) is marked and stores the mark before it
+on the cycle, the first mark the last one.  Inverting then walks forward
+from the query, takes at most one back-jump at the first marked element,
+and walks on until the predecessor shows up; the gap structure bounds the
+forward evaluations by 2 * spacing + 1, and on an index over its own text
+a walk makes at most spacing of them.  walk() is that one loop, with a
+block's pi step inlined: each step reads one symbol through the text's
+read-only view (reads) and evaluates the symbol's mmphf.MonotoneHash in
+the loop, a binary search of its samples and a descent of one bucket's
+flat trie, so that a step makes no Python call.  The walk charges its
+session once, with the number of steps it made, on every way out: its
+answer, a ProbeBudgetError, or a CorruptIndexError for an index that
+disagrees with its text.  The step count is the loop variable, so no step
+pays for a counter either.
 
 A table holds the back-pointers once, in its jump array: 1 plus the
 element's target where it is marked, 0 elsewhere, so a step tests its mark
 and finds its back-jump with one array read.  Its stored form is one
-payload int, as a hash or predecessor set has: the L mark bits, then the
-targets in mark order.  encode() walks the cycles to make that int, which
-build writes to the file; _decode() fills the jump array from it when a
-query first touches the table's block, in a built or a loaded index alike.
+payload int, as a hash or predecessor set has: the marks, then each mark's
+target in mark order, as that target's rank among the table's m marks in
+width(m) bits.  The marks' form depends on (L, spacing) alone: L plain mark
+bits, or, where ceil(L / spacing) marks would be smaller so, the mark count
+m in width(L + 1) bits and then an Elias-Fano list of the marked positions
+(an upper part of m ones among m + ((L - 1) >> l) bits, the i-th one at
+bit i plus the position's high part, then each position's l low bits).
+stored_bits() gives a stored table's size from its leading field.
+encode() walks the cycles to make the payload, which build writes to the
+file; _decode() turns it back into the jump array when a query first
+touches the table's block, in a built or a loaded index alike.
 """
 
 from __future__ import annotations
@@ -29,10 +38,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import compress, count
-from operator import index
+from itertools import compress, count, repeat
+from operator import ge, index, lshift
 
-from .bits import split_fields, typecode, width
+from .bits import join_fields, split_fields, typecode, width
 from .errors import (
     CorruptIndexError,
     MalformedInputError,
@@ -89,21 +98,67 @@ def eval_budget(spacing):
     return 2 * spacing + 1
 
 
+def _elias_fano(m, length):
+    """(l, upper) for an Elias-Fano list of m positions in [0, length): each
+    position keeps its low l bits, and position i's high part h is the one
+    at bit h + i of the upper part, which is `upper` bits long."""
+    if not m:
+        return 0, 0
+    low = (length // m).bit_length() - 1
+    return low, m + ((length - 1) >> low)
+
+
 @lru_cache(maxsize=32)
 def _shape(length, spacing):
-    """What every table over [length] at this spacing shares: its target
-    width, the typecode of its jumps, and walk's step range, numbered from 1
-    so that the step in hand is the count of reads made."""
-    return width(length), typecode(length), range(1, eval_budget(spacing) + 1)
+    """What every table over [length] at this spacing shares: the width of
+    the mark count that leads an Elias-Fano table, 0 where its marks are L
+    plain bits, the typecode of its jumps, and walk's step range, numbered
+    from 1 so that the step in hand is the count of reads made.  The marks
+    are an Elias-Fano list where ceil(L / spacing) of them would be smaller
+    so, count included, than L plain bits."""
+    count_w = width(length + 1)
+    m = -(-length // spacing)
+    low, upper = _elias_fano(m, length)
+    sparse = count_w + m * low + upper < length
+    return count_w if sparse else 0, typecode(length), range(1, eval_budget(spacing) + 1)
+
+
+def stored_bits(field, length, spacing):
+    """(nbits, target_bits) of the stored table over [length] whose leading
+    field, its mark count or its L mark bits, is the low bits of `field`:
+    its size, and its target fields' share of it, m * width(m) for m marks.
+    A mark count above length raises CorruptIndexError."""
+    m, lead = _count(field, length, _shape(length, spacing)[0])
+    targets = m * width(m)
+    return lead + targets, targets
+
+
+def _count(field, length, count_w):
+    """(m, lead): the mark count of the table whose leading field is the low
+    bits of `field`, and the bits its marks take, count included."""
+    if not count_w:
+        return (field & ((1 << length) - 1)).bit_count(), length
+    m = field & ((1 << count_w) - 1)
+    if m > length:
+        raise CorruptIndexError(f"{m} shortcut marks in a table of {length}")
+    low, upper = _elias_fano(m, length)
+    return m, count_w + upper + m * low
+
+
+def _ones(value):
+    """The positions of value's set bits, lowest first."""
+    # Its bits as bytes, lowest first: a NUL where a bit is clear.
+    return compress(count(), format(value, "b").encode()[::-1].replace(b"0", b"\0"))
 
 
 class ShortcutTable:
     """Marked positions plus packed back-pointers for one permutation.
 
-    payload is the stored form, nbits bits: the L mark bits, bit x for
-    element x, then each marked element's target in mark order.  jumps[x]
-    is 1 + x's target where x is marked and 0 elsewhere, which is what
-    walk() reads; _decode() is the one place that fills it.
+    payload is the stored form, nbits bits: the marks, as L plain bits (bit
+    x for element x) or as a count and an Elias-Fano list, then each mark's
+    target as a rank among the marks, in mark order.  jumps[x] is 1 + x's
+    target where x is marked and 0 elsewhere, which is what walk() reads;
+    _decode() is the one place that fills it.
     """
 
     __slots__ = ("length", "spacing", "payload", "nbits", "jumps", "_steps")
@@ -115,16 +170,16 @@ class ShortcutTable:
 
     @staticmethod
     def encode(image, spacing):
-        """The payload stored for the permutation x -> image[x] of [L]: the L
-        mark bits, then each target in mark order, width(L) bits each.  A
-        step outside [0, L), to an element already seen, or to a non-integer
+        """The payload stored for the permutation x -> image[x] of [L]: the
+        marks in the form _shape picks for (L, spacing), then each target's
+        rank among the m marks, in mark order, width(m) bits each.  A step
+        outside [0, L), to an element already seen, or to a non-integer
         raises MalformedInputError."""
         if spacing < 1:
             raise MalformedInputError(f"spacing must be >= 1, got {spacing}")
         length = len(image)
         seen = bytearray(length)
         back = [0] * length  # 1 + each mark's back-pointer, 0 elsewhere
-        payload = 0
         for start in range(length):
             if seen[start]:
                 continue  # start is each cycle's least element
@@ -145,34 +200,58 @@ class ShortcutTable:
             if len(cycle) < spacing or len(cycle) == 1:
                 continue
             marked = cycle[::spacing]
-            for x, target in zip(marked, [cycle[-spacing]] + marked[:-1]):
+            for x, target in zip(marked, marked[-1:] + marked[:-1]):
                 back[x] = target + 1
-                payload |= 1 << x
-        tw = width(length)
-        for i, j in enumerate(filter(None, back)):
-            payload |= (j - 1) << (length + i * tw)
-        return payload
+        # 1 + each mark, lowest first, as back holds 1 + each target; then
+        # each target's rank among the marks, in mark order.
+        ones = list(compress(count(1), back))
+        m = len(ones)
+        rank = dict(zip(ones, count()))
+        ranks = list(map(rank.__getitem__, filter(None, back)))
+        count_w = _shape(length, spacing)[0]
+        if count_w:
+            low, upper = _elias_fano(m, length)
+            marks = [x - 1 for x in ones]
+            highs = sum(1 << ((x >> low) + i) for i, x in enumerate(marks))
+            lows = join_fields([x & ((1 << low) - 1) for x in marks], low)
+            payload = m | highs << count_w | lows << (count_w + upper)
+        else:
+            payload = sum(map(lshift, repeat(1), ones)) >> 1
+        lead = _count(payload, length, count_w)[1]
+        return payload | join_fields(ranks, width(m)) << lead
 
     def _decode(self, payload, length, spacing):
-        """Fill self from a payload that encode() made over [length]; a target
-        outside [0, length) raises CorruptIndexError before anything is filled."""
-        tw, code, self._steps = _shape(length, spacing)
+        """Fill self from a payload that encode() made over [length].  A mark
+        count above length, an Elias-Fano upper part without exactly that
+        many ones, positions that do not increase strictly below length, or
+        a target rank of m or more raises CorruptIndexError before anything
+        is filled."""
+        count_w, code, self._steps = _shape(length, spacing)
         self.length = length
         self.spacing = spacing
         self.payload = payload
-        marks = payload & ((1 << length) - 1)
-        ones = marks.bit_count()
-        self.nbits = length + ones * tw
-        targets = split_fields(payload >> length, ones, tw)
-        # Checked first: at L = 255 a target of 255 would not fit its
-        # 8-bit jump entry as 1 + target.
-        if ones and max(targets) >= length:
-            raise CorruptIndexError(f"shortcut target outside [0, {length})")
+        m, lead = _count(payload, length, count_w)
+        if count_w:
+            low, upper = _elias_fano(m, length)
+            highs = (payload >> count_w) & ((1 << upper) - 1)
+            if highs.bit_count() != m:
+                raise CorruptIndexError(
+                    f"shortcut mark list's upper part does not hold {m} ones")
+            lows = split_fields(payload >> (count_w + upper), m, low)
+            marks = [(p - i) << low | x for i, p, x in zip(count(), _ones(highs), lows)]
+            if m and (marks[-1] >= length or any(map(ge, marks, marks[1:]))):
+                raise CorruptIndexError(
+                    f"shortcut marks do not increase strictly below {length}")
+        else:
+            marks = list(_ones(payload & ((1 << length) - 1)))
+        tw = width(m)
+        self.nbits = lead + m * tw
+        ranks = split_fields(payload >> lead, m, tw)
+        if m and max(ranks) >= m:
+            raise CorruptIndexError(f"shortcut target outside the table's {m} marks")
         self.jumps = jumps = array(code, bytes(array(code).itemsize * length))  # zeros
-        # The mark bits as bytes, lowest first: a NUL where unmarked.
-        flags = format(marks, "b").encode()[::-1].replace(b"0", b"\0")
-        for x, target in zip(compress(count(), flags), targets):
-            jumps[x] = target + 1
+        for x, r in zip(marks, ranks):
+            jumps[x] = marks[r] + 1
         return self
 
     def invert(self, q, pi):
@@ -247,6 +326,7 @@ class ShortcutTable:
     @classmethod
     def read(cls, br, length, spacing):
         """One table over [length], as encode() made its payload, from br."""
-        marks = br.read(length)
-        field = br.read(marks.bit_count() * _shape(length, spacing)[0])
-        return object.__new__(cls)._decode(marks | field << length, length, spacing)
+        lead = _shape(length, spacing)[0] or length
+        field = br.read(lead)
+        rest = br.read(stored_bits(field, length, spacing)[0] - lead)
+        return object.__new__(cls)._decode(field | rest << lead, length, spacing)

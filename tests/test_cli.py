@@ -142,21 +142,22 @@ def test_verify_corrupted_index(sample_files, capsys, tmp_path):
 
 
 def test_verify_decodes_every_block_and_query_only_its_own(capsys, tmp_path):
-    # sigma=6: a block's targets take width(6) = 3 bits, which also hold 7.
+    # sigma=6, t=2: a block keeps its 6 mark bits plain, and one of 3 marks
+    # takes width(3) = 2-bit target ranks, which also hold 3.
     rng = random.Random(3)
     symbols = [rng.randrange(6) for _ in range(60)]
     data = tmp_path / "text.bin"
     data.write_bytes(bytes(symbols))
     ix = build(ProbedText(symbols, 6), t=2)
-    b = 4  # a middle block, which one verify query is unlikely to touch
-    assert any(ix.blocks[b].shortcuts.jumps)  # it has a mark
+    b = 5  # a middle block, which one verify query is unlikely to touch
+    assert sum(map(bool, ix.blocks[b].shortcuts.jumps)) == 3  # it has 3 marks
     blob = bytearray(ix.to_bytes())
-    # Block b's first target, after its 6 mark bits, becomes 7.
+    # Block b's first target rank, after its 6 mark bits, becomes 3.
     table = [_TABLE_ENTRY.unpack_from(blob, _HEADER.size + i * _TABLE_ENTRY.size)
              for i in range(len(_TAGS))]
     start = (8 * next(off for tag, off, _ in table if tag == _TAG_SHORT)
              + sum(blk.shortcuts.nbits for blk in ix.blocks[:b]) + 6)
-    for i in range(3):
+    for i in range(2):
         blob[(start + i) // 8] |= 1 << (start + i) % 8
     blob[-4:] = struct.pack("<I", zlib.crc32(blob[:-4]))
     bad = tmp_path / "bad.idx"

@@ -30,7 +30,7 @@ from strindex import (
     select_budget,
 )
 from strindex.audit import Reference, make_workload
-from strindex.bits import BitWriter, typecode, unary_counts, width
+from strindex.bits import BitReader, BitWriter, typecode, unary_counts, width
 from strindex.index import (
     _HEADER,
     _TABLE_ENTRY,
@@ -287,6 +287,7 @@ def _patch_header(blob, **fields):
 @pytest.mark.parametrize("fields", [
     {"version": 1},  # v1 files must be rebuilt
     {"version": 2},  # v2 fingerprints are FNV-1a; rebuild from the text
+    {"version": 3},  # v3 stores every mark bit and targets as positions
     {"sigma": 0},
     {"sigma": 1},
     {"sigma": 101},  # sigma > n
@@ -389,9 +390,9 @@ def _zipf_text(n, sigma, seed):
 
 @pytest.mark.parametrize("text, t, k, sha256", [
     (make_random_text(3000, 64, seed=11), 4, 2,
-     "fc148d563ffdecbd73fdf4601f163a10d902b93a346d4892c4c988e7c20bc7ae"),
+     "93e172d410d81dbe0b7d4c3ee52e26f60fc6a60e9323543e6c718651bbec85d5"),
     (_zipf_text(3000, 16, seed=12), 2, 2,
-     "64b1cd0f63c9ee4b6a221d6f53a7210dbfe360e3bc90c7f0e83a8f06e47fbde4"),
+     "11581e9ad46ef3ece9b903a5c87d6b6bb1992669e21d3893834f6fbd39fac411"),
 ], ids=["uniform", "zipf"])
 def test_index_bytes_are_pinned(text, t, k, sha256):
     ix = build(text, t, k)
@@ -409,11 +410,11 @@ _PINNED_TEXTS = {
 
 _PINNED_PROBES = [
     ("uniform", 1, "e7e057a9c41d3e0fafac16b37c215df3d3159d6228553a220b2861cd2d5a7c6d"),
-    ("uniform", 2, "f2a98258c9ad87e6c5278afff1523d4a23b9b0877816bc0dea3ba624e0372854"),
-    ("uniform", 5, "0bd1c4d4fad7e6238b2bb1ee9a2f3fae4e18047a2b8e6f77dca520f14774a8b1"),
+    ("uniform", 2, "971d20ad2c34f690ded12051675c189c1b429b1fb32812202e93e9526dfe995b"),
+    ("uniform", 5, "7456d64de19991b507c51982ce25e1b94a40f25d9e37538250e2d245dbd10949"),
     ("zipf", 1, "f9c50813fe34df027f933ffe0ff29bd0060019ac53101058ac84856242ed3932"),
-    ("zipf", 2, "b6a2dcdd61690fcc2ff01ec75fbef1b902eb775c7b165ad907e18f1d8df6d2df"),
-    ("zipf", 5, "5ede613c9fdd32061dea2c0adf47fd54a2856ef7934467e838c7f59d7a08e9e9"),
+    ("zipf", 2, "46ff52eec9827e8921abe84635c9bbf9b21c606862a9b80c8875e5f19ea6617c"),
+    ("zipf", 5, "ec9542293ed24466e4bc72bd283be6aaf74f99c48c4841128161c777aed6d68b"),
 ]
 
 
@@ -451,13 +452,18 @@ def test_build_is_deterministic():
 
 def test_space_report_components_sum():
     text = make_random_text(2000, 32, seed=7)
-    ix = build(text, t=2)
-    rep = ix.space_report()
+    for t in (8, 2):  # Elias-Fano marks at L = 32, then plain mark bits
+        ix = build(text, t)
+        rep = ix.space_report()
+        tables = [blk.shortcuts for blk in ix.blocks]
+        marks = [sum(map(bool, table.jumps)) for table in tables]
+        assert rep.shortcut_target_bits == sum(m * width(m) for m in marks)
+        assert rep.shortcut_bits == sum(table.nbits for table in tables)
+        assert (rep.shortcut_bits < text.n) == (t == 8)
     parts = (rep.z_bits + rep.cross_bits + rep.mmphf_bits + rep.pred_bits
              + rep.shortcut_bits + rep.header_bits)
     assert parts == rep.total_bits
     assert rep.total_bits == 8 * len(ix.to_bytes())
-    assert rep.shortcut_target_bits <= rep.shortcut_bits
     # unary scaffolding sizes are fully determined by (n, sigma, #blocks)
     nblocks = len(ix.blocks)
     assert rep.cross_bits == 0  # the file has no cross section
@@ -493,6 +499,28 @@ def _section_texts(draw):
 # Block 0 stores nothing in either set section; in block 1, symbol 0's hash
 # and predecessor payloads are each wider than 64 bits.
 _EDGE_TEXT = (list(range(64)) + [0] * 40 + list(range(1, 25)), 64, 2)
+
+
+@pytest.mark.parametrize("t", [4, 8])
+def test_open_and_read_agree_on_every_tables_size(t):
+    """The offsets open records in the shortcut section, from each table's
+    leading field, are where ShortcutTable.read, reading the tables in turn,
+    starts each one; at t = 4 the tables keep plain mark bits, at t = 8 an
+    Elias-Fano list, and the last block is short."""
+    text = make_random_text(64 * 5 + 37, 64, seed=9)
+    ix = build(text, t)
+    section, offsets, _ = ix._sections[-1]  # as open left them
+    br = BitReader(section)
+    for b, blk in enumerate(ix.blocks):
+        assert br.bits_consumed == offsets[b]
+        table = ShortcutTable.read(br, blk.length, t)
+        want = blk.shortcuts
+        assert (table.payload, table.nbits, table.jumps) == (want.payload, want.nbits,
+                                                             want.jumps)
+    assert br.bits_consumed == offsets[-1] == ix.space_report().shortcut_bits
+    assert [blk.length for blk in ix.blocks][-1] == 37
+    m = sum(map(bool, ix.blocks[0].shortcuts.jumps))
+    assert (offsets[1] - m * width(m) < 64) == (t == 8)  # block 0's marks
 
 
 def test_edge_text_has_an_empty_block_and_a_wide_payload():
@@ -685,16 +713,17 @@ def test_block_sets_are_per_symbol_tuples_none_where_absent():
 
 @pytest.mark.parametrize("target", [6, 7])
 def test_shortcut_target_past_the_block_is_corrupt(target):
-    # sigma=6: a block's targets take width(6) = 3 bits, which also hold 6 and 7.
-    text = make_random_text(60, 6, seed=3)
+    # sigma=12, t=2: block 0 keeps its 12 mark bits plain and has 5 marks,
+    # whose target ranks take width(5) = 3 bits, which also hold 6 and 7.
+    text = make_random_text(120, 12, seed=3)
     ix = build(text, t=2)
     shortcuts = ix.blocks[0].shortcuts
-    assert any(shortcuts.jumps)  # block 0 has a mark
+    m = sum(map(bool, shortcuts.jumps))
+    assert m == 5 and shortcuts.nbits == 12 + 5 * width(m)
     blob = bytearray(ix.to_bytes())
-    # Block 0's mark bits come first in the section, then its targets.
+    # Block 0's mark bits come first in the section, then its target ranks.
     off = 8 * _section(blob, _TAG_SHORT)[0] + shortcuts.length
-    tw = width(ix.blocks[0].length)
-    for i in range(tw):
+    for i in range(width(m)):
         byte, bit = divmod(off + i, 8)
         blob[byte] = blob[byte] & ~(1 << bit) | ((target >> i) & 1) << bit
     # The file is sound in structure; its payload fault shows at block 0's
@@ -730,15 +759,19 @@ def test_loaded_index_answers_as_built_with_equal_probes():
         assert s1.count == s2.count
 
 
-@pytest.mark.parametrize("tag", [_TAG_MMPHF, _TAG_PRED], ids=["mmphf", "pred"])
-def test_hash_and_pred_bit_flips_fail_cleanly(tag):
-    """A sample of single-bit flips, the CRC re-stamped as a forger would:
-    each mutant is rejected at open, or answers each query or raises a
-    StrindexError, at its block's first decode or later.  Answers may be
-    wrong; no other exception may escape."""
+@pytest.mark.parametrize("tag, t", [(_TAG_MMPHF, 2), (_TAG_PRED, 2), (_TAG_SHORT, 2),
+                                    (_TAG_SHORT, 8)],
+                         ids=["mmphf", "pred", "short-plain", "short-elias-fano"])
+def test_hash_and_pred_bit_flips_fail_cleanly(tag, t):
+    """A sample of single-bit flips in the hash, predecessor or shortcut
+    section, the CRC re-stamped as a forger would: each mutant is rejected
+    at open, or answers each query or raises a StrindexError, at its block's
+    first decode or later.  Answers may be wrong; no other exception may
+    escape.  The shortcut tables keep plain mark bits at t = 2 and an
+    Elias-Fano list at t = 8."""
     # sigma=32, k=2: predecessor buckets of 5 members keep 3 samples in a trie.
     text = _zipf_text(500, 32, seed=13)
-    blob = build(text, t=2, k=2).to_bytes()
+    blob = build(text, t, k=2).to_bytes()
     rng = random.Random(tag)
     queries = [("select", c, j) for c, positions in positions_of(text).items()
                for j in range(1, len(positions) + 1)]
@@ -880,20 +913,22 @@ def test_moved_shortcut_target_answers_or_exceeds_the_budget():
     ix = build(text, t=2, k=2)
     ref = Reference(text)
     blk = ix.blocks[0]
-    tw = width(blk.length)
+    marks = [x for x, j in enumerate(blk.shortcuts.jumps) if j]
+    tw = width(len(marks))
     blob = bytearray(ix.to_bytes())
-    # Block 0's mark bits come first in the section, then its first target.
+    # Block 0's mark bits come first in the section, then the first mark's
+    # target rank.
     off = 8 * _section(blob, _TAG_SHORT)[0] + blk.length
-    first = next(filter(None, blk.shortcuts.jumps)) - 1  # the first mark's target
+    first = marks.index(blk.shortcuts.jumps[marks[0]] - 1)  # its rank
     over = answered = 0
-    for target in range(blk.length):
-        if target == first:
+    for rank in range(len(marks)):
+        if rank == first:
             continue
         for i in range(tw):
             byte, bit = divmod(off + i, 8)
-            blob[byte] = blob[byte] & ~(1 << bit) | ((target >> i) & 1) << bit
+            blob[byte] = blob[byte] & ~(1 << bit) | ((rank >> i) & 1) << bit
         moved = StringIndex.from_bytes(_restamp(blob))
-        assert next(filter(None, moved.blocks[0].shortcuts.jumps)) == target + 1
+        assert next(filter(None, moved.blocks[0].shortcuts.jumps)) == marks[rank] + 1
         queries = [("select", c, j) for c in range(text.sigma)
                    for j in range(1, ref.count(c) + 1) if ref.select(c, j) < blk.length]
         queries += [("rank", c, p) for c in range(text.sigma)
@@ -904,7 +939,7 @@ def test_moved_shortcut_target_answers_or_exceeds_the_budget():
             except ProbeBudgetError:
                 over += 1
                 continue
-            assert got == getattr(ref, kind)(c, arg), (target, kind, c, arg)
+            assert got == getattr(ref, kind)(c, arg), (rank, kind, c, arg)
             answered += 1
     assert over and answered
 
@@ -984,6 +1019,31 @@ def test_a_walk_charges_the_reads_it_makes_in_its_block(name, t, monkeypatch):
         reads += session.count
     assert reads == sum(walks)
     assert max(walks) <= eval_budget(t)
+
+
+@pytest.mark.parametrize("t", [1, 2, 5, 8, 16])
+@pytest.mark.parametrize("name", sorted(_PINNED_TEXTS))
+def test_a_walk_over_its_own_text_takes_at_most_t_steps(name, t, monkeypatch):
+    """On an index over its own text, every select takes at most t probes,
+    and so does each walk inside a rank: the mark a walk meets first points
+    at the mark before it on the cycle, which is at most t steps behind."""
+    text = _PINNED_TEXTS[name]
+    ix = build(text, t, k=2)
+    ref = Reference(text)
+    walks = _walk_reads(monkeypatch)
+    rec = RecordingText(text)
+    rng = random.Random(t)
+    for c in range(text.sigma):
+        for j in range(1, ref.count(c) + 1):
+            session = ProbeSession()
+            assert ix.select(rec, session, c, j) == ref.select(c, j)
+            assert session.count <= t, (c, j)
+    assert len(walks) == text.n and max(walks) <= t
+    walks.clear()
+    for _ in range(2000):
+        c, p = rng.randrange(text.sigma), rng.randrange(text.n + 1)
+        assert ix.rank(rec, ProbeSession(), c, p) == ref.rank(c, p)
+    assert walks and max(walks) <= t
 
 
 def _forged_pair():

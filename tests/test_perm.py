@@ -12,8 +12,8 @@ from strindex import (
     ProbeBudgetError,
     ShortcutTable,
 )
-from strindex.bits import BitReader, BitWriter, typecode
-from strindex.perm import eval_budget
+from strindex.bits import BitReader, BitWriter, typecode, width
+from strindex.perm import eval_budget, stored_bits
 
 
 class CountingPi:
@@ -27,8 +27,48 @@ class CountingPi:
 
 
 def ones(tab):
-    """Marks of a table, counted from the L mark bits that open its payload."""
-    return (tab.payload & ((1 << tab.length) - 1)).bit_count()
+    """Marks of a table, counted in its jump array."""
+    return sum(map(bool, tab.jumps))
+
+
+def elias_fano(m, length):
+    """(l, upper) of format v4's Elias-Fano list of m positions in
+    [0, length): l low bits per position, and an upper part of m ones among
+    m + ((length - 1) >> l) bits."""
+    if not m:
+        return 0, 0
+    low = (length // m).bit_length() - 1
+    return low, m + ((length - 1) >> low)
+
+
+def sparse(length, spacing):
+    """Whether format v4 stores a table's marks as a count and an
+    Elias-Fano list: where ceil(L / spacing) marks would be smaller so than
+    as L plain bits."""
+    m = -(-length // spacing)
+    low, upper = elias_fano(m, length)
+    return width(length + 1) + upper + m * low < length
+
+
+def parse_table(bits, length, spacing):
+    """(marks, ranks, nbits) of the format v4 table that opens the bit
+    string `bits`: its marked positions, lowest first, each mark's target
+    rank, in mark order, and the table's size."""
+    def field(pos, w):
+        return int(bits[pos:pos + w][::-1] or "0", 2)
+
+    if sparse(length, spacing):
+        m = field(0, width(length + 1))
+        low, upper = elias_fano(m, length)
+        pos = width(length + 1) + upper
+        ups = [i for i, bit in enumerate(bits[width(length + 1):pos]) if bit == "1"]
+        marks = [(p - i) << low | field(pos + i * low, low) for i, p in enumerate(ups)]
+        pos += m * low
+    else:
+        marks = [x for x in range(length) if bits[x] == "1"]
+        m, pos = len(marks), length
+    ranks = [field(pos + i * width(m), width(m)) for i in range(m)]
+    return marks, ranks, pos + m * width(m)
 
 
 def written(tab):
@@ -103,10 +143,17 @@ def test_target_bits_are_exact():
     rng = random.Random(10)
     image = list(range(300))
     rng.shuffle(image)
-    for spacing in (1, 2, 5):
+    for spacing in (1, 2, 5, 16):
         tab = ShortcutTable(image.__getitem__, 300, spacing)
-        width = (300 - 1).bit_length()
-        assert tab.nbits == 300 + ones(tab) * width
+        m = ones(tab)
+        if sparse(300, spacing):  # from spacing 5 on at L = 300
+            low, upper = elias_fano(m, 300)
+            lead = width(301) + upper + m * low
+        else:
+            lead = 300
+        assert spacing < 5 or lead < 300
+        assert tab.nbits == lead + m * width(m)
+        assert stored_bits(tab.payload, 300, spacing) == (tab.nbits, m * width(m))
         assert tab.payload.bit_length() <= tab.nbits
 
 
@@ -114,10 +161,9 @@ def test_target_bits_halve_per_spacing_doubling():
     rng = random.Random(12)
     image = list(range(4096))
     rng.shuffle(image)
-    bits = {
-        spacing: ShortcutTable(image.__getitem__, 4096, spacing).nbits - 4096
-        for spacing in (1, 2, 4, 8)
-    }
+    marks = {spacing: ones(ShortcutTable(image.__getitem__, 4096, spacing))
+             for spacing in (1, 2, 4, 8)}
+    bits = {spacing: m * width(m) for spacing, m in marks.items()}
     for spacing in (1, 2, 4):
         ratio = bits[2 * spacing] / bits[spacing]
         assert 0.4 <= ratio <= 0.6, (spacing, ratio)
@@ -138,17 +184,20 @@ def test_rejects_non_bijection():
         ShortcutTable([0, 1].__getitem__, 2, 0)
 
 
-# Payloads as the shortcut writer of format v3 emitted them: the L mark bits,
-# then each target in mark order, in width(L) bits each.
+# Payloads as the shortcut writer of format v4 emits them: the marks, as the
+# L mark bits or (the last) as a count and an Elias-Fano list, then each
+# target's rank among the m marks in mark order, in width(m) bits each.  A
+# cycle's first mark targets its last mark.  The first four were worked by
+# hand: in "cycles", marks 0, 1, 4, 5, 8 target 5, 4, 1, 0, 8, ranks 3, 2,
+# 1, 0, 4 in 3 bits each.
 _RECORDED = [
-    ([1, 0, 2], 2, 5, "1"),
-    ([2, 0, 1], 2, 7, "13"),
-    ([(x + 1) % 10 for x in range(10)], 3, 26, "18c1e49"),  # 10 marks by 3
-    ([3, 7, 0, 5, 1, 2, 6, 4, 9, 8, 10, 11], 2, 32, "80175133"),
+    ([1, 0, 2], 2, 4, "1"),
+    ([2, 0, 1], 2, 5, "b"),
+    ([(x + 1) % 10 for x in range(10)], 3, 18, "24e49"),  # 4 marks by 3
+    ([3, 7, 0, 5, 1, 2, 6, 4, 9, 8, 10, 11], 2, 27, "4053133"),
     (list(range(6)), 2, 6, "0"),
-    ([(x + 1) % 255 for x in range(255)], 16, 383,  # 255 marked by 16
-     "7068605850484038302820181008007780010001000100010001000100010001"
-     "00010001000100010001000100010001"),
+    ([(x + 1) % 255 for x in range(255)], 16, 167,  # 16 marks by 16
+     "76e5d4c3b2a1908780000000000024924924924910"),
 ]
 
 
@@ -161,11 +210,16 @@ def test_encode_is_the_recorded_payload(image, spacing, nbits, payload):
     assert ShortcutTable.encode(image, spacing) == payload
     tab = ShortcutTable(image.__getitem__, length, spacing)
     assert (tab.payload, tab.nbits) == (payload, nbits)
-    br = BitReader(payload.to_bytes((nbits + 7) // 8, "little"))
+    data = payload.to_bytes((nbits + 7) // 8, "little")
+    br = BitReader(data)
     back = ShortcutTable.read(br, length, spacing)
     assert br.bits_consumed == nbits
     assert (back.payload, back.nbits) == (payload, nbits)
     assert back.jumps == tab.jumps
+    if length == 255:  # marks 0, 16, ..., 240, each targeting the one before
+        marks, ranks, got = parse_table(bits_of(data), length, spacing)
+        assert sparse(length, spacing) and got == nbits
+        assert (marks, ranks) == (list(range(0, 255, 16)), [15, *range(15)])
 
 
 @pytest.mark.parametrize("image", [[0, 0, 1], [5, 0, 1], [-1, 0], [1, 1], [0.5, 0]])
@@ -220,8 +274,13 @@ def bits_of(data):
     return "".join(f"{byte:08b}"[::-1] for byte in data)
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.sampled_from([1, 63, 64, 65, 128, 129, 1000]), st.integers(1, 4),
+# Spacings 4 and 8 sit on either side of the switch to Elias-Fano marks at
+# L = 64 and L = 1024.
+_SPACINGS = st.sampled_from([1, 2, 3, 4, 8, 16])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([0, 1, 63, 64, 65, 128, 129, 300, 1000]), _SPACINGS,
        st.randoms(use_true_random=False))
 def test_write_read_round_trip_keeps_marks_and_word_counts(length, spacing, rng):
     image = list(range(length))
@@ -229,13 +288,14 @@ def test_write_read_round_trip_keeps_marks_and_word_counts(length, spacing, rng)
     tab = ShortcutTable(image.__getitem__, length, spacing)
     bw = written(tab)
     back = ShortcutTable.read(BitReader(bw.getvalue()), length, spacing)
-    marks = bits_of(bw.getvalue())[:length]  # the section starts with the marks
+    marks, _, nbits = parse_table(bits_of(bw.getvalue()), length, spacing)
+    assert nbits == tab.nbits == back.nbits
+    assert sparse(length, spacing) == (spacing >= 8 and length >= 63)
     for table in (tab, back):
-        assert table.payload & ((1 << length) - 1) == int(marks[::-1], 2)
         assert len(table.jumps) == length
         for i in range((length + 63) // 64):  # the marks before each 64-bit word
-            assert sum(map(bool, table.jumps[:64 * i])) == marks[:64 * i].count("1")
-        assert sum(map(bool, table.jumps)) == marks.count("1") == ones(table)
+            assert sum(map(bool, table.jumps[:64 * i])) == sum(x < 64 * i for x in marks)
+        assert [x for x, j in enumerate(table.jumps) if j] == marks
     assert back.jumps == tab.jumps
     for q in range(length):
         pi = CountingPi(image)
@@ -258,26 +318,29 @@ def permutation_with_cycle(length, spacing, rng):
     return image
 
 
-def assert_jumps_follow_the_stored_bits(table, data):
-    """jumps[x] is 1 + x's target for each x marked in the stored bits, whose
-    targets follow the L mark bits in mark order, and 0 everywhere else."""
+def assert_jumps_follow_the_stored_bits(table, data, image):
+    """jumps[x] is 1 + x's target for each x marked in the stored bits, that
+    target being the mark of the stored rank, and 0 everywhere else; and each
+    mark's target is the mark met first walking its cycle backwards."""
     length = table.length
-    bits = bits_of(data)
-    marked = [x for x in range(length) if bits[x] == "1"]
-    width = max(1, (length - 1).bit_length())
-    stored = [int(bits[length + i * width:length + (i + 1) * width][::-1], 2)
-              for i in range(len(marked))]
-    assert table.payload & ((1 << length) - 1) == sum(1 << x for x in marked)
-    assert [j - 1 for j in table.jumps if j] == stored
+    marks, ranks, nbits = parse_table(bits_of(data), length, table.spacing)
+    assert nbits == table.nbits
+    assert len(set(marks)) == len(marks) and all(0 <= x < length for x in marks)
     want = [0] * length
-    for x, target in zip(marked, stored):
-        want[x] = target + 1
+    for x, r in zip(marks, ranks):
+        want[x] = marks[r] + 1
     assert list(table.jumps) == want
     assert table.jumps.typecode == typecode(length)
+    before = {y: x for x, y in enumerate(image)}
+    for x in marks:
+        y = before[x]
+        while not want[y]:
+            y = before[y]
+        assert want[x] == y + 1
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.sampled_from([0, 1, 63, 64, 65, 300]), st.integers(1, 8),
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([0, 1, 63, 64, 65, 300]), _SPACINGS,
        st.randoms(use_true_random=False))
 def test_jumps_hold_one_plus_each_marks_target(length, spacing, rng):
     image = permutation_with_cycle(length, spacing, rng)
@@ -285,7 +348,7 @@ def test_jumps_hold_one_plus_each_marks_target(length, spacing, rng):
     data = written(tab).getvalue()
     back = ShortcutTable.read(BitReader(data), length, spacing)
     for table in (tab, back):
-        assert_jumps_follow_the_stored_bits(table, data)
+        assert_jumps_follow_the_stored_bits(table, data, image)
     assert back.jumps == tab.jumps
     assert (back.payload, back.nbits) == (tab.payload, tab.nbits)
     if 2 <= spacing <= length:  # the spacing-long cycle's mark jumps to itself
@@ -322,8 +385,9 @@ def test_read_blocks_reads_what_each_table_wrote(lengths):
 
 @pytest.mark.parametrize("length, target", [(255, 255), (255, 254), (300, 300), (300, 511)])
 def test_a_target_past_its_table_is_corrupt(length, target):
-    # At L = 255 a target takes all 8 bits of its 8-bit item, so the last
-    # one being 255 would also overflow the item that holds 1 + it.
+    # Every element is marked, so a target's rank among the marks is the
+    # target itself.  At L = 255 a rank takes all 8 bits of its field, and a
+    # rank of 255 would also overflow the 8-bit item that holds 1 + target.
     image = [(x + 1) % length for x in range(length)]
     tab = ShortcutTable(image.__getitem__, length, 1)
     assert ones(tab) == length  # so the last target is element length - 1's
@@ -345,3 +409,62 @@ def test_a_target_past_its_table_is_corrupt(length, target):
             assert ShortcutTable.read(br, length + 1, 1).jumps == longer.jumps
         with pytest.raises(CorruptIndexError, match="shortcut target outside"):
             ShortcutTable.read(br, length, 1)
+
+
+def packed(*fields):
+    """The bytes of the (value, width) fields, the first at bit 0, and their
+    total width."""
+    value = pos = 0
+    for v, w in fields:
+        value |= v << pos
+        pos += w
+    return value.to_bytes((pos + 7) // 8, "little"), pos
+
+
+# Stored tables that the encoder cannot make: each as its fields in order,
+# and the one field that, set to the value given, mends it.  At L = 64 and
+# spacing 8 the marks are a 7-bit count and an Elias-Fano list: for 2 marks,
+# a 3-bit upper part and 5 low bits each; for 3 marks, a 6-bit upper part
+# and 4 low bits each.  At L = 40, 2 marks take a 4-bit upper part and 4 low
+# bits each.
+_FORGED = {
+    "count-past-L": (64, 8, [(65, 7)], None, "65 shortcut marks in a table of 64"),
+    "equal-marks": (64, 8, [(2, 7), (0b011, 3), (5, 5), (5, 5), (1, 1), (0, 1)],
+                    (3, 6), "increase strictly"),
+    "falling-marks": (64, 8, [(2, 7), (0b011, 3), (9, 5), (5, 5), (1, 1), (0, 1)],
+                      (2, 4), "increase strictly"),
+    "mark-past-L": (40, 8, [(2, 6), (0b1001, 4), (0, 4), (15, 4), (1, 1), (0, 1)],
+                    (3, 7), "increase strictly below 40"),  # marks 0 and 47
+    "three-upper-ones": (64, 8, [(2, 7), (0b111, 3), (1, 5), (5, 5), (1, 1), (0, 1)],
+                         (1, 0b011), "upper part does not hold 2 ones"),
+    "one-upper-one": (64, 8, [(2, 7), (0b001, 3), (1, 5), (5, 5), (1, 1), (0, 1)],
+                      (1, 0b011), "upper part does not hold 2 ones"),
+    "rank-past-m": (64, 8, [(3, 7), (0b10101, 6), (1, 4), (4, 4), (8, 4),
+                            (1, 2), (2, 2), (3, 2)],  # marks 1, 20 and 40
+                    (7, 0), "target outside the table's 3 marks"),
+    "rank-past-m-plain": (64, 2, [(1 << 1 | 1 << 20 | 1 << 40, 64),
+                                  (1, 2), (2, 2), (3, 2)],
+                          (3, 0), "target outside the table's 3 marks"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FORGED))
+def test_a_forged_table_is_corrupt_before_any_jump_is_filled(case):
+    length, spacing, fields, mend, match = _FORGED[case]
+    data, nbits = packed(*fields)
+    table = object.__new__(ShortcutTable)
+    with pytest.raises(CorruptIndexError, match=match):
+        table._decode(int.from_bytes(data, "little"), length, spacing)
+    assert not hasattr(table, "jumps")
+    with pytest.raises(CorruptIndexError, match=match):
+        ShortcutTable.read(BitReader(data), length, spacing)
+    if mend is not None:  # one field away from a table that decodes
+        i, value = mend
+        data = packed(*fields[:i], (value, fields[i][1]), *fields[i + 1:])[0]
+        marks, ranks, got = parse_table(bits_of(data), length, spacing)
+        assert got == nbits
+        br = BitReader(data)
+        tab = ShortcutTable.read(br, length, spacing)
+        assert (br.bits_consumed, tab.nbits) == (nbits, nbits)
+        assert list(tab.jumps) == [marks[ranks[marks.index(x)]] + 1 if x in marks else 0
+                                   for x in range(length)]
