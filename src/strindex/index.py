@@ -50,7 +50,7 @@ from .errors import (
     require_integers,
 )
 from .mmphf import MonotoneHash, shared
-from .perm import ShortcutTable, eval_budget, stored_bits
+from .perm import ShortcutTable, eval_budget, stored_bits, stored_offsets
 from .pred import DIRECT_LIMIT, PredIndex, budget as scall_budget
 
 MAGIC = b"SSIX"
@@ -444,13 +444,7 @@ class StringIndex:
             sets.append((sections[tag], offsets, set_cls, params, sizes,
                          {}, {0: None}))
         shortcuts = sections[_TAG_SHORT]
-        offsets = array("Q", [0])
-        target_bits = 0
-        for length in lengths:  # a leading field is at most `length` bits
-            nbits, targets = stored_bits(
-                read_bits(shortcuts, offsets[-1], offsets[-1] + length), length, t)
-            offsets.append(offsets[-1] + nbits)
-            target_bits += targets
+        offsets, target_bits = stored_offsets(shortcuts, lengths, t)
         _finish_section(offsets[-1], shortcuts)
 
         # Checked after the section sizes, so that each of them names its

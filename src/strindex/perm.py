@@ -27,7 +27,8 @@ bits, or, where ceil(L / spacing) marks would be smaller so, the mark count
 m in width(L + 1) bits and then an Elias-Fano list of the marked positions
 (an upper part of m ones among m + ((L - 1) >> l) bits, the i-th one at
 bit i plus the position's high part, then each position's l low bits).
-stored_bits() gives a stored table's size from its leading field.
+stored_bits() gives a stored table's size from its leading field, and
+stored_offsets() where each table of a section starts.
 encode() walks the cycles to make the payload, which build writes to the
 file; _decode() turns it back into the jump array when a query first
 touches the table's block, in a built or a loaded index alike.
@@ -38,10 +39,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import compress, count, repeat
+from itertools import compress, count, groupby, repeat
 from operator import ge, index, lshift
 
-from .bits import join_fields, split_fields, typecode, width
+from .bits import join_fields, read_bits, split_fields, typecode, width
 from .errors import (
     CorruptIndexError,
     MalformedInputError,
@@ -128,21 +129,52 @@ def stored_bits(field, length, spacing):
     field, its mark count or its L mark bits, is the low bits of `field`:
     its size, and its target fields' share of it, m * width(m) for m marks.
     A mark count above length raises CorruptIndexError."""
-    m, lead = _count(field, length, _shape(length, spacing)[0])
-    targets = m * width(m)
+    count_w = _shape(length, spacing)[0]
+    if count_w:
+        m = field & ((1 << count_w) - 1)
+    else:
+        m = (field & ((1 << length) - 1)).bit_count()
+    lead, targets = _size(m, length, count_w)
     return lead + targets, targets
 
 
-def _count(field, length, count_w):
-    """(m, lead): the mark count of the table whose leading field is the low
-    bits of `field`, and the bits its marks take, count included."""
+def stored_offsets(section, lengths, spacing):
+    """Where each stored table over [length], for the lengths in turn,
+    starts in the bytes `section`, then where the last one ends, as a "Q"
+    array; and the bits all their target fields take.  Tables of one length
+    share one form, so it is worked out once per run of equal lengths: the
+    full blocks, then a short last one.  A mark count above its length
+    raises CorruptIndexError."""
+    offsets = array("Q", [0])
+    end = target_bits = 0
+    for length, run in groupby(lengths):
+        count_w = _shape(length, spacing)[0]
+        lead_w = count_w or length
+        sizes = {}  # _size by mark count
+        for _ in run:
+            field = read_bits(section, end, end + lead_w)
+            m = field if count_w else field.bit_count()
+            size = sizes.get(m)
+            if size is None:
+                size = sizes[m] = _size(m, length, count_w)
+            end += size[0] + size[1]
+            target_bits += size[1]
+            offsets.append(end)
+    return offsets, target_bits
+
+
+def _size(m, length, count_w):
+    """(lead, target_bits) of a table over [length] with m marks: the bits
+    its marks take, count included, in the form with a count_w-bit mark
+    count, or as L plain bits where count_w is 0; and the bits of its m
+    target fields.  A mark count above length raises CorruptIndexError."""
+    targets = m * width(m)
     if not count_w:
-        return (field & ((1 << length) - 1)).bit_count(), length
-    m = field & ((1 << count_w) - 1)
+        return length, targets
     if m > length:
         raise CorruptIndexError(f"{m} shortcut marks in a table of {length}")
     low, upper = _elias_fano(m, length)
-    return m, count_w + upper + m * low
+    return count_w + upper + m * low, targets
 
 
 def _ones(value):
@@ -214,10 +246,11 @@ class ShortcutTable:
             marks = [x - 1 for x in ones]
             highs = sum(1 << ((x >> low) + i) for i, x in enumerate(marks))
             lows = join_fields([x & ((1 << low) - 1) for x in marks], low)
+            lead = count_w + upper + m * low
             payload = m | highs << count_w | lows << (count_w + upper)
         else:
+            lead = length
             payload = sum(map(lshift, repeat(1), ones)) >> 1
-        lead = _count(payload, length, count_w)[1]
         return payload | join_fields(ranks, width(m)) << lead
 
     def _decode(self, payload, length, spacing):
@@ -230,8 +263,9 @@ class ShortcutTable:
         self.length = length
         self.spacing = spacing
         self.payload = payload
-        m, lead = _count(payload, length, count_w)
         if count_w:
+            m = payload & ((1 << count_w) - 1)
+            lead = _size(m, length, count_w)[0]
             low, upper = _elias_fano(m, length)
             highs = (payload >> count_w) & ((1 << upper) - 1)
             if highs.bit_count() != m:
@@ -244,6 +278,7 @@ class ShortcutTable:
                     f"shortcut marks do not increase strictly below {length}")
         else:
             marks = list(_ones(payload & ((1 << length) - 1)))
+            m, lead = len(marks), length
         tw = width(m)
         self.nbits = lead + m * tw
         ranks = split_fields(payload >> lead, m, tw)

@@ -501,12 +501,13 @@ def _section_texts(draw):
 _EDGE_TEXT = (list(range(64)) + [0] * 40 + list(range(1, 25)), 64, 2)
 
 
-@pytest.mark.parametrize("t", [4, 8])
+@pytest.mark.parametrize("t", [4, 5, 8])
 def test_open_and_read_agree_on_every_tables_size(t):
     """The offsets open records in the shortcut section, from each table's
     leading field, are where ShortcutTable.read, reading the tables in turn,
-    starts each one; at t = 4 the tables keep plain mark bits, at t = 8 an
-    Elias-Fano list, and the last block is short."""
+    starts each one; at t = 4 the tables keep plain mark bits, at t = 5 and
+    t = 8 the full ones an Elias-Fano list, and the last block is short: at
+    t = 5 in plain bits, at t = 8 as a list."""
     text = make_random_text(64 * 5 + 37, 64, seed=9)
     ix = build(text, t)
     section, offsets, _ = ix._sections[-1]  # as open left them
@@ -520,7 +521,9 @@ def test_open_and_read_agree_on_every_tables_size(t):
     assert br.bits_consumed == offsets[-1] == ix.space_report().shortcut_bits
     assert [blk.length for blk in ix.blocks][-1] == 37
     m = sum(map(bool, ix.blocks[0].shortcuts.jumps))
-    assert (offsets[1] - m * width(m) < 64) == (t == 8)  # block 0's marks
+    assert (offsets[1] - m * width(m) < 64) == (t >= 5)  # block 0's marks
+    m = sum(map(bool, ix.blocks[-1].shortcuts.jumps))
+    assert (offsets[-1] - offsets[-2] - m * width(m) < 37) == (t == 8)  # the last's
 
 
 def test_edge_text_has_an_empty_block_and_a_wide_payload():

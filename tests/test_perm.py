@@ -50,6 +50,14 @@ def sparse(length, spacing):
     return width(length + 1) + upper + m * low < length
 
 
+def mark_bits(length, spacing, m):
+    """The bits that a format v4 table's m marks take, count included."""
+    if not sparse(length, spacing):
+        return length
+    low, upper = elias_fano(m, length)
+    return width(length + 1) + upper + m * low
+
+
 def parse_table(bits, length, spacing):
     """(marks, ranks, nbits) of the format v4 table that opens the bit
     string `bits`: its marked positions, lowest first, each mark's target
@@ -146,12 +154,8 @@ def test_target_bits_are_exact():
     for spacing in (1, 2, 5, 16):
         tab = ShortcutTable(image.__getitem__, 300, spacing)
         m = ones(tab)
-        if sparse(300, spacing):  # from spacing 5 on at L = 300
-            low, upper = elias_fano(m, 300)
-            lead = width(301) + upper + m * low
-        else:
-            lead = 300
-        assert spacing < 5 or lead < 300
+        lead = mark_bits(300, spacing, m)
+        assert (lead < 300) == (spacing >= 5)  # Elias-Fano from spacing 5 on
         assert tab.nbits == lead + m * width(m)
         assert stored_bits(tab.payload, 300, spacing) == (tab.nbits, m * width(m))
         assert tab.payload.bit_length() <= tab.nbits
@@ -161,9 +165,11 @@ def test_target_bits_halve_per_spacing_doubling():
     rng = random.Random(12)
     image = list(range(4096))
     rng.shuffle(image)
-    marks = {spacing: ones(ShortcutTable(image.__getitem__, 4096, spacing))
-             for spacing in (1, 2, 4, 8)}
-    bits = {spacing: m * width(m) for spacing, m in marks.items()}
+    bits = {}
+    for spacing in (1, 2, 4, 8):
+        tab = ShortcutTable(image.__getitem__, 4096, spacing)
+        bits[spacing] = tab.nbits - mark_bits(4096, spacing, ones(tab))  # stored
+        assert bits[spacing] == stored_bits(tab.payload, 4096, spacing)[1]
     for spacing in (1, 2, 4):
         ratio = bits[2 * spacing] / bits[spacing]
         assert 0.4 <= ratio <= 0.6, (spacing, ratio)
@@ -274,9 +280,9 @@ def bits_of(data):
     return "".join(f"{byte:08b}"[::-1] for byte in data)
 
 
-# Spacings 4 and 8 sit on either side of the switch to Elias-Fano marks at
-# L = 64 and L = 1024.
-_SPACINGS = st.sampled_from([1, 2, 3, 4, 8, 16])
+# At every length tested here from 63 on, the marks switch to an
+# Elias-Fano list between spacings 4 and 5.
+_SPACINGS = st.sampled_from([*range(1, 9), 16])
 
 
 @settings(deadline=None, max_examples=60)
@@ -290,7 +296,7 @@ def test_write_read_round_trip_keeps_marks_and_word_counts(length, spacing, rng)
     back = ShortcutTable.read(BitReader(bw.getvalue()), length, spacing)
     marks, _, nbits = parse_table(bits_of(bw.getvalue()), length, spacing)
     assert nbits == tab.nbits == back.nbits
-    assert sparse(length, spacing) == (spacing >= 8 and length >= 63)
+    assert sparse(length, spacing) == (spacing >= 5 and length >= 63)
     for table in (tab, back):
         assert len(table.jumps) == length
         for i in range((length + 63) // 64):  # the marks before each 64-bit word
