@@ -7,15 +7,13 @@ stated per-query budgets and the redundancy envelope
 
     r  <=  BUDGET_C * (n * log2(sigma) / t  +  n * max(1, log2(log2(sigma))))
 
-into machine-checked pass/fail lines.  Wall-clock time is recorded per point
-but never asserted and never exported.
+into machine-checked pass/fail lines.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from random import Random
@@ -53,12 +51,8 @@ class BenchRecord:
     shortcut_bits: int
     shortcut_target_bits: int
     header_bits: int
-    queries: int
     rank_probes_max: int
-    rank_probes_mean: float
     select_probes_max: int
-    select_probes_mean: float
-    wall_us_per_query: float  # informational only
 
     def row(self):
         return {col: getattr(self, col) for col in CSV_COLUMNS}
@@ -125,13 +119,12 @@ def make_workload(text, count, seed):
 
 
 def run_queries(ix, text, queries, check=True):
-    """Execute a workload; returns (stats dict, mismatch list).  For each of
-    rank and select, stats holds the probes per query as a max, a mean and
-    nearest-rank p50 and p99."""
+    """Execute a workload; returns (stats dict, mismatch list).  stats holds
+    the query count and, for each of rank and select, the probes per query as
+    a max and nearest-rank p50 and p99."""
     ref = Reference(text) if check else None
     mismatches = []
     probes = {"rank": [], "select": []}
-    t0 = time.perf_counter()
     for kind, c, arg in queries:
         session = ProbeSession()
         got = getattr(ix, kind)(text, session, c, arg)
@@ -140,15 +133,12 @@ def run_queries(ix, text, queries, check=True):
             want = getattr(ref, kind)(c, arg)
             if got != want:
                 mismatches.append(f"{kind}({c},{arg}): index={got} oracle={want}")
-    elapsed = time.perf_counter() - t0
     stats = {"queries": len(queries)}
     for kind, counts in probes.items():
         counts.sort()
         stats[f"{kind}_probes_max"] = counts[-1] if counts else 0
-        stats[f"{kind}_probes_mean"] = sum(counts) / len(counts) if counts else 0.0
         stats[f"{kind}_probes_p50"] = _percentile(counts, 50)
         stats[f"{kind}_probes_p99"] = _percentile(counts, 99)
-    stats["wall_us_per_query"] = 1e6 * elapsed / len(queries) if queries else 0.0
     return stats, mismatches
 
 
@@ -171,7 +161,6 @@ def sweep(text, t_list, k_list, queries=1000, seed=0):
         for k in ks:
             ix = StringIndex.build(text, t, k)
             report = ix.space_report()
-            ix.blocks  # decoded first, so that wall time counts queries only
             stats, mismatches = run_queries(ix, text, workload, check=False)
             if mismatches:
                 raise AssertionError(f"sweep hit mismatches: {mismatches[:3]}")
@@ -188,12 +177,8 @@ def sweep(text, t_list, k_list, queries=1000, seed=0):
                 shortcut_bits=report.shortcut_bits,
                 shortcut_target_bits=report.shortcut_target_bits,
                 header_bits=report.header_bits,
-                queries=stats["queries"],
                 rank_probes_max=stats["rank_probes_max"],
-                rank_probes_mean=stats["rank_probes_mean"],
                 select_probes_max=stats["select_probes_max"],
-                select_probes_mean=stats["select_probes_mean"],
-                wall_us_per_query=stats["wall_us_per_query"],
             ))
     return records
 

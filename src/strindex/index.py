@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import accumulate, compress
 from operator import index, sub
 
-from .bits import BitWriter, read_bits, typecode, unary_counts, unary_section, width
+from .bits import BitWriter, read_bits, typecode, unary_counts, unary_section
 from .errors import (
     BadSymbolError,
     CorruptIndexError,
@@ -51,7 +51,7 @@ from .errors import (
 )
 from .mmphf import MonotoneHash, shared
 from .perm import ShortcutTable, eval_budget, stored_bits, stored_offsets
-from .pred import DIRECT_LIMIT, PredIndex, budget as scall_budget
+from .pred import PredIndex, budget as scall_budget, max_k
 
 MAGIC = b"SSIX"
 VERSION = 4
@@ -75,11 +75,6 @@ def select_budget(t):
 def rank_budget(t, k):
     """Maximum probes for one rank query."""
     return scall_budget(k) * eval_budget(t)
-
-
-def max_k(sigma):
-    """Largest admissible predecessor sub-sampling rate for this alphabet."""
-    return width(sigma)
 
 
 class _Block:
@@ -197,10 +192,10 @@ class StringIndex:
             for c in sorted(occ):
                 keys = occ[c]
                 m = counts[c] = len(keys)
-                if m > 1:
+                if hash_bits[m]:
                     hfield |= MonotoneHash._encode(keys, sigma) << hpos
                     hpos += hash_bits[m]
-                if m > DIRECT_LIMIT:
+                if pred_bits[m]:
                     pfield |= PredIndex._encode(keys, sigma, k) << ppos
                     ppos += pred_bits[m]
                 for i in keys:

@@ -211,7 +211,7 @@ class MonotoneHash:
     memo are one shared, never-changed object.
     """
 
-    __slots__ = ("m", "u", "_w", "_samples", "_buckets", "payload", "nbits")
+    __slots__ = ("m", "_w", "_samples", "_buckets", "payload", "nbits")
 
     def __init__(self, keys, u):
         keys = list(keys)
@@ -307,7 +307,6 @@ class MonotoneHash:
         under memo[~s][bits]; raise CorruptIndexError on any
         field that encode() cannot produce."""
         self.m = m
-        self.u = u
         w, sw = widths(u)
         self._w = w
         self.payload = payload

@@ -17,16 +17,17 @@ answer, a ProbeBudgetError, or a CorruptIndexError for an index that
 disagrees with its text.  The step count is the loop variable, so no step
 pays for a counter either.
 
-A table holds the back-pointers once, in its jump array: 1 plus the
+A decoded table keeps two things.  Its jump array holds 1 plus the
 element's target where it is marked, 0 elsewhere, so a step tests its mark
-and finds its back-jump with one array read.  Its stored form is one
-payload int, as a hash or predecessor set has: the marks, then each mark's
-target in mark order, as that target's rank among the table's m marks in
-width(m) bits.  The marks' form depends on (L, spacing) alone: L plain mark
-bits, or, where ceil(L / spacing) marks would be smaller so, the mark count
-m in width(L + 1) bits and then an Elias-Fano list of the marked positions
-(an upper part of m ones among m + ((L - 1) >> l) bits, the i-th one at
-bit i plus the position's high part, then each position's l low bits).
+and finds its back-jump with one array read.  Its payload, the stored form
+as a hash or predecessor set keeps one, holds the marks, then each mark's
+target in mark order as its rank among the table's m marks in width(m)
+bits: the same targets, which no walk reads.  The marks' form depends on
+(L, spacing) alone: L plain mark bits, or, where ceil(L / spacing) marks
+would be smaller so, the mark count m in width(L + 1) bits and then an
+Elias-Fano list of the marked positions (an upper part of m ones among
+m + ((L - 1) >> l) bits, the i-th one at bit i plus the position's high
+part, then each position's l low bits).
 stored_bits() gives a stored table's size from its leading field, and
 stored_offsets() where each table of a section starts.
 encode() walks the cycles to make the payload, which build writes to the

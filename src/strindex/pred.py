@@ -7,8 +7,8 @@ on every call.
 
 Layout for m = |T| members over universe [sigma]:
 
-  * m <= DIRECT_LIMIT: nothing is stored; a plain binary search over S
-    resolves R(p) in at most 3 calls.
+  * m <= DIRECT_LIMIT: nothing is stored (payload_bits() is 0); a binary
+    search over S resolves R(p) in at most 3 calls.
   * otherwise: every g-th member (g ~ log2 sigma) is stored verbatim in a
     top array that is binary searched for free; inside the resulting bucket
     every k-th member is sampled.  Buckets with at most two samples keep
@@ -51,11 +51,13 @@ from .mmphf import (
 #: over m + 1 outcomes costs ceil(log2(m + 1)) <= 3 accessor calls.
 DIRECT_LIMIT = 7
 
-#: Payload bits reported for an empty or direct-searched set.
-EMPTY_PRED_BITS = 0
-
 _EXPLICIT = 0
 _TRIE = 1
+
+
+def max_k(sigma):
+    """Largest admissible predecessor sub-sampling rate for this alphabet."""
+    return widths(sigma)[0]
 
 
 def budget(k):
@@ -80,7 +82,7 @@ class BlindTrie:
     maxleaf[i].
     """
 
-    __slots__ = ("nleaves", "root", "shift", "left", "right", "minleaf", "maxleaf")
+    __slots__ = ("root", "shift", "left", "right", "minleaf", "maxleaf")
 
     def __init__(self, keys, w):
         keys = list(keys)
@@ -92,7 +94,6 @@ class BlindTrie:
 
     def _decode(self, payload, nleaves, w, sw):
         """Fill self from an encode_trie payload; see mmphf.decode_trie."""
-        self.nleaves = nleaves
         (self.shift, self.left, self.right, self.minleaf,
          self.maxleaf) = decode_trie(payload, nleaves, w, sw)
         self.root = 0 if self.shift else ~0
@@ -146,7 +147,7 @@ class PredIndex:
     one memo are one shared, never-changed object.
     """
 
-    __slots__ = ("m", "sigma", "k", "g", "_top", "_buckets", "_budget",
+    __slots__ = ("m", "k", "g", "_top", "_buckets", "_budget",
                  "payload", "nbits")
 
     def __init__(self, members, sigma, k):
@@ -157,9 +158,8 @@ class PredIndex:
     def encode(members, sigma, k):
         """The payload stored for strictly increasing integer members of
         [sigma] at rate k; MalformedInputError for any other.  See _encode()."""
-        w = widths(sigma)[0]
-        if not 1 <= k <= w:
-            raise MalformedInputError(f"k={k} outside [1, {w}]")
+        if not 1 <= k <= max_k(sigma):
+            raise MalformedInputError(f"k={k} outside [1, {max_k(sigma)}]")
         require_increasing_below(members, sigma, "members")
         return PredIndex._encode(members, sigma, k)
 
@@ -252,12 +252,12 @@ class PredIndex:
     def payload_bits(m, sigma, k):
         """Payload size of every set of m members over [sigma] at rate k.
 
-        EMPTY_PRED_BITS up to DIRECT_LIMIT; otherwise one w-bit top key per
+        0 up to DIRECT_LIMIT; otherwise one w-bit top key per
         bucket of g = w members, plus each bucket's samples past the first or
         its trie, whose L leaves take (2L - 1) + (L - 1) * sw bits.
         """
         if m <= DIRECT_LIMIT:
-            return EMPTY_PRED_BITS
+            return 0
         w, sw = widths(sigma)
         full, rest = divmod(m, w)
         total = full * (w + _bucket_bits(w, k, w, sw))
@@ -279,14 +279,13 @@ class PredIndex:
         memo[~L][bits]; raise CorruptIndexError on any field
         that encode() cannot produce."""
         self.m = m
-        self.sigma = sigma
         self.k = k
         w, sw = widths(sigma)
         self.g = w
         self._budget = budget(k)
         self._top = self._buckets = None
         self.payload = payload
-        self.nbits = EMPTY_PRED_BITS
+        self.nbits = 0
         if m <= DIRECT_LIMIT:
             return self
         ntop = (m + w - 1) // w

@@ -119,11 +119,11 @@ class ProbedText:
 class RecordingText:
     """A ProbedText that logs the position of every probe made through it.
 
-    n, sigma, fingerprint and access pass through to the wrapped text;
-    reads is a view that hands out the wrapped text's symbols.  Each
+    n, sigma, fingerprint, symbols and access pass through to the wrapped
+    text; reads is a view that hands out the wrapped text's symbols.  Each
     position read through reads, and each position access returns, is
     appended to log in probe order, so a test can compare a session's
-    charge with the reads a walk made.
+    charge with the reads a walk made.  symbols() is not logged.
     """
 
     __slots__ = ("text", "log", "reads")
@@ -144,6 +144,9 @@ class RecordingText:
     @property
     def fingerprint(self):
         return self.text.fingerprint
+
+    def symbols(self):
+        return self.text.symbols()
 
     def access(self, session, i):
         sym = self.text.access(session, i)

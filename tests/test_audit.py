@@ -1,10 +1,10 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
 
-import strindex.audit
-from strindex import MalformedInputError, ProbeSession
+from strindex import MalformedInputError, ProbeSession, StringIndex
 from strindex.audit import (
     BUDGET_C,
     CSV_COLUMNS,
@@ -18,6 +18,7 @@ from strindex.audit import (
     to_json,
 )
 from strindex.index import build, select_budget
+from strindex.text import RecordingText
 from conftest import make_random_text
 
 
@@ -75,6 +76,27 @@ def test_run_queries_detects_mismatches():
     assert stats["select_probes_max"] <= select_budget(2)
 
 
+def test_recording_text_builds_and_logs_query_probes_only():
+    """A RecordingText builds the same index as its ProbedText, and the
+    workload, the build and the reference read it unlogged: after
+    run_queries its log holds exactly the probes the queries were charged."""
+    text = make_random_text(2048, 32, seed=13)
+    rec = RecordingText(text)
+    ix = StringIndex.build(rec, 2, 2)
+    assert ix.to_bytes() == StringIndex.build(text, 2, 2).to_bytes()
+    queries = make_workload(rec, 200, 4)
+    assert queries == make_workload(text, 200, 4)
+    assert rec.log == []
+    _, mismatches = run_queries(ix, rec, queries, check=True)
+    assert mismatches == []
+    charged = 0
+    for kind, c, arg in queries:
+        session = ProbeSession()
+        getattr(ix, kind)(text, session, c, arg)
+        charged += session.count
+    assert len(rec.log) == charged > 0
+
+
 def test_run_queries_reports_nearest_rank_probe_percentiles():
     text = make_random_text(2048, 32, seed=8)
     ix = build(text, t=4, k=2)
@@ -113,18 +135,15 @@ def test_sweep_records_and_exports():
     assert json_a == json_b
 
 
-def test_sweep_times_queries_on_decoded_blocks_only(monkeypatch):
-    """The timed queries of a sweep point decode no block: sweep decodes
-    them all before run_queries starts its clock."""
-    pending = []
-
-    def counted(ix, *args, **kwargs):
-        pending.append(sum(blk is None for blk in ix._blocks))
-        return run_queries(ix, *args, **kwargs)
-
-    monkeypatch.setattr(strindex.audit, "run_queries", counted)
-    sweep(make_random_text(4096, 64, seed=7), [1, 2], [1], queries=60, seed=3)
-    assert pending == [0, 0]
+def test_sweep_export_bytes_are_pinned():
+    """The exact CSV and JSON bytes of one sweep; any change to what a
+    sweep measures or how it is written shows here."""
+    text = make_random_text(4096, 64, seed=7)
+    records = sweep(text, [1, 2], [1, 2], queries=60, seed=3)
+    assert hashlib.sha256(to_csv(records).encode()).hexdigest() == (
+        "4f0aef808e4d3a92d2b271f38b712789209354a488bcb00ba23802e84fa70cf3")
+    assert hashlib.sha256(to_json(records).encode()).hexdigest() == (
+        "d38a07df0adfa2166142cebe58946ceaf84f4a04e5d4d8b2f6fd2b93ecef3348")
 
 
 def test_sweep_rejects_empty_lists():

@@ -118,7 +118,7 @@ def test_embedded_write_read_round_trip():
     bw = BitWriter()
     bw.write(h.payload, h.nbits)
     assert bw.bit_length == h.nbits
-    g = MonotoneHash.read(BitReader(bw.getvalue()), h.m, h.u)
+    g = MonotoneHash.read(BitReader(bw.getvalue()), h.m, 512)
     for rank, key in enumerate(keys):
         assert g.eval(key) == rank
 

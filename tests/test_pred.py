@@ -9,7 +9,6 @@ from strindex import MalformedInputError, PredIndex, ProbeBudgetError
 from strindex.bits import BitReader, BitWriter, width
 from strindex.pred import (
     DIRECT_LIMIT,
-    EMPTY_PRED_BITS,
     BlindTrie,
     _bucket_bits,
     budget,
@@ -97,7 +96,7 @@ def test_construction_shape_every_gth_element():
 def test_direct_sets_store_nothing():
     for m in range(DIRECT_LIMIT + 1):
         ix = PredIndex(list(range(m)), 1024, 1)
-        assert ix.nbits == EMPTY_PRED_BITS
+        assert ix.nbits == 0
 
 
 def test_bits_shrink_with_larger_k():
@@ -208,7 +207,7 @@ def test_payload_bits_closed_form_equals_the_bucket_loop(sigma):
             # One w-bit top key per bucket, then its samples past the first.
             loop = sum(w + _bucket_bits(min(w, m - base), k, w, sw)
                        for base in range(0, m, w))
-            want = EMPTY_PRED_BITS if m <= DIRECT_LIMIT else loop
+            want = 0 if m <= DIRECT_LIMIT else loop
             assert PredIndex.payload_bits(m, sigma, k) == want, (m, sigma, k)
 
 
