@@ -1,5 +1,6 @@
-"""Plain bitvector with a sampled rank/select directory, plus bit-level I/O
-and the encoder and parser of unary count sections.
+"""Plain bitvector with a sampled rank/select directory, plus bit-level I/O,
+the encoder and parser of unary count sections, and the one Elias-Fano
+codec of sorted position lists.
 
 The directory stores one cumulative popcount per 256-bit superblock and is
 rebuilt on load; only the payload is ever serialized.  Queries scan at most
@@ -14,7 +15,8 @@ from __future__ import annotations
 import struct
 from array import array
 from bisect import bisect_left
-from operator import lshift
+from itertools import compress, count
+from operator import ge, lshift
 
 from .errors import CorruptIndexError, NotFoundError, OutOfRangeError
 
@@ -45,6 +47,52 @@ def join_fields(values, w):
     """The int whose consecutive w-bit fields, lowest first, are `values`;
     split_fields inverts it."""
     return sum(map(lshift, values, range(0, len(values) * w, w or 1)))
+
+
+def ones(value):
+    """The positions of value's set bits, lowest first."""
+    # Its bits as bytes, lowest first: a NUL where a bit is clear.
+    return compress(count(), format(value, "b").encode()[::-1].replace(b"0", b"\0"))
+
+
+def _elias_fano(m, length):
+    """(l, upper) for an Elias-Fano list of m positions in [0, length): each
+    position keeps its low l bits, and position i's high part h is the one
+    at bit h + i of the upper part, which is `upper` bits long."""
+    if not m:
+        return 0, 0
+    low = (length // m).bit_length() - 1
+    return low, m + ((length - 1) >> low)
+
+
+def ef_bits(m, length):
+    """Size of the Elias-Fano list of m positions in [0, length)."""
+    low, upper = _elias_fano(m, length)
+    return upper + m * low
+
+
+def ef_encode(positions, length):
+    """The int of ef_bits(len(positions), length) bits that ef_decode parses:
+    the upper part of the strictly increasing positions in [0, length), then
+    each position's l low bits, the first lowest."""
+    low, upper = _elias_fano(len(positions), length)
+    highs = sum(1 << ((x >> low) + i) for i, x in enumerate(positions))
+    return highs | join_fields([x & ((1 << low) - 1) for x in positions], low) << upper
+
+
+def ef_decode(value, m, length, what):
+    """The m positions of the Elias-Fano list in the low bits of `value`.
+    Raises CorruptIndexError, naming `what`, unless its upper part holds
+    exactly m ones and the positions increase strictly below length."""
+    low, upper = _elias_fano(m, length)
+    highs = value & ((1 << upper) - 1)
+    if highs.bit_count() != m:
+        raise CorruptIndexError(f"{what} list's upper part does not hold {m} ones")
+    lows = split_fields(value >> upper, m, low)
+    positions = [(p - i) << low | x for i, p, x in zip(count(), ones(highs), lows)]
+    if m and (positions[-1] >= length or any(map(ge, positions, positions[1:]))):
+        raise CorruptIndexError(f"{what} list does not increase strictly below {length}")
+    return positions
 
 
 class BitBuilder:

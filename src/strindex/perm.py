@@ -25,9 +25,9 @@ target in mark order as its rank among the table's m marks in width(m)
 bits: the same targets, which no walk reads.  The marks' form depends on
 (L, spacing) alone: L plain mark bits, or, where ceil(L / spacing) marks
 would be smaller so, the mark count m in width(L + 1) bits and then an
-Elias-Fano list of the marked positions (an upper part of m ones among
-m + ((L - 1) >> l) bits, the i-th one at bit i plus the position's high
-part, then each position's l low bits).
+Elias-Fano list of the marked positions in bits.ef_encode's layout (an
+upper part of m ones among m + ((L - 1) >> l) bits, the i-th one at bit i
+plus the position's high part, then each position's l low bits).
 stored_bits() gives a stored table's size from its leading field, and
 stored_offsets() where each table of a section starts.
 encode() walks the cycles to make the payload, which build writes to the
@@ -41,9 +41,10 @@ from array import array
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress, count, groupby, repeat
-from operator import ge, index, lshift
+from operator import index, lshift
 
-from .bits import join_fields, read_bits, split_fields, typecode, width
+from .bits import (ef_bits, ef_decode, ef_encode, join_fields, ones, read_bits,
+                   split_fields, typecode, width)
 from .errors import (
     CorruptIndexError,
     MalformedInputError,
@@ -100,16 +101,6 @@ def eval_budget(spacing):
     return 2 * spacing + 1
 
 
-def _elias_fano(m, length):
-    """(l, upper) for an Elias-Fano list of m positions in [0, length): each
-    position keeps its low l bits, and position i's high part h is the one
-    at bit h + i of the upper part, which is `upper` bits long."""
-    if not m:
-        return 0, 0
-    low = (length // m).bit_length() - 1
-    return low, m + ((length - 1) >> low)
-
-
 @lru_cache(maxsize=32)
 def _shape(length, spacing):
     """What every table over [length] at this spacing shares: the width of
@@ -119,9 +110,7 @@ def _shape(length, spacing):
     are an Elias-Fano list where ceil(L / spacing) of them would be smaller
     so, count included, than L plain bits."""
     count_w = width(length + 1)
-    m = -(-length // spacing)
-    low, upper = _elias_fano(m, length)
-    sparse = count_w + m * low + upper < length
+    sparse = count_w + ef_bits(-(-length // spacing), length) < length
     return count_w if sparse else 0, typecode(length), range(1, eval_budget(spacing) + 1)
 
 
@@ -174,14 +163,7 @@ def _size(m, length, count_w):
         return length, targets
     if m > length:
         raise CorruptIndexError(f"{m} shortcut marks in a table of {length}")
-    low, upper = _elias_fano(m, length)
-    return count_w + upper + m * low, targets
-
-
-def _ones(value):
-    """The positions of value's set bits, lowest first."""
-    # Its bits as bytes, lowest first: a NUL where a bit is clear.
-    return compress(count(), format(value, "b").encode()[::-1].replace(b"0", b"\0"))
+    return count_w + ef_bits(m, length), targets
 
 
 class ShortcutTable:
@@ -237,21 +219,17 @@ class ShortcutTable:
                 back[x] = target + 1
         # 1 + each mark, lowest first, as back holds 1 + each target; then
         # each target's rank among the marks, in mark order.
-        ones = list(compress(count(1), back))
-        m = len(ones)
-        rank = dict(zip(ones, count()))
+        lifted = list(compress(count(1), back))
+        m = len(lifted)
+        rank = dict(zip(lifted, count()))
         ranks = list(map(rank.__getitem__, filter(None, back)))
         count_w = _shape(length, spacing)[0]
         if count_w:
-            low, upper = _elias_fano(m, length)
-            marks = [x - 1 for x in ones]
-            highs = sum(1 << ((x >> low) + i) for i, x in enumerate(marks))
-            lows = join_fields([x & ((1 << low) - 1) for x in marks], low)
-            lead = count_w + upper + m * low
-            payload = m | highs << count_w | lows << (count_w + upper)
+            lead = count_w + ef_bits(m, length)
+            payload = m | ef_encode([x - 1 for x in lifted], length) << count_w
         else:
             lead = length
-            payload = sum(map(lshift, repeat(1), ones)) >> 1
+            payload = sum(map(lshift, repeat(1), lifted)) >> 1
         return payload | join_fields(ranks, width(m)) << lead
 
     def _decode(self, payload, length, spacing):
@@ -267,18 +245,9 @@ class ShortcutTable:
         if count_w:
             m = payload & ((1 << count_w) - 1)
             lead = _size(m, length, count_w)[0]
-            low, upper = _elias_fano(m, length)
-            highs = (payload >> count_w) & ((1 << upper) - 1)
-            if highs.bit_count() != m:
-                raise CorruptIndexError(
-                    f"shortcut mark list's upper part does not hold {m} ones")
-            lows = split_fields(payload >> (count_w + upper), m, low)
-            marks = [(p - i) << low | x for i, p, x in zip(count(), _ones(highs), lows)]
-            if m and (marks[-1] >= length or any(map(ge, marks, marks[1:]))):
-                raise CorruptIndexError(
-                    f"shortcut marks do not increase strictly below {length}")
+            marks = ef_decode(payload >> count_w, m, length, "shortcut mark")
         else:
-            marks = list(_ones(payload & ((1 << length) - 1)))
+            marks = list(ones(payload & ((1 << length) - 1)))
             m, lead = len(marks), length
         tw = width(m)
         self.nbits = lead + m * tw

@@ -11,6 +11,10 @@ from strindex.bits import (
     BitWriter,
     CorruptIndexError,
     _select_in_word,
+    ef_bits,
+    ef_decode,
+    ef_encode,
+    ones,
     unary_counts,
     unary_section,
     width,
@@ -257,3 +261,42 @@ def test_select_matches_a_scan_across_superblocks(nbits, density):
         v.select0(len(zeros) + 1)
     with pytest.raises(NotFoundError):
         v.select1(len(ones) + 1)
+
+
+@st.composite
+def _position_lists(draw):
+    length = draw(st.integers(1, 2000))
+    chosen = draw(st.sets(st.integers(0, length - 1), max_size=min(length, 80)))
+    return sorted(chosen), length
+
+
+@settings(deadline=None, max_examples=300)
+@given(_position_lists())
+def test_elias_fano_round_trips_at_its_size(case):
+    """The list is ef_bits long: l = floor(log2(length / m)) low bits per
+    position and an upper part of m ones among m + ((length - 1) >> l)
+    bits; ef_decode gives the positions back."""
+    positions, length = case
+    m = len(positions)
+    value = ef_encode(positions, length)
+    low = (length // m).bit_length() - 1 if m else 0
+    assert ef_bits(m, length) == (m + ((length - 1) >> low) + m * low if m else 0)
+    assert value.bit_length() <= ef_bits(m, length)
+    assert ef_decode(value, m, length, "test") == positions
+    # Bits past the list are not the list's.
+    assert ef_decode(value | 1 << ef_bits(m, length), m, length, "test") == positions
+    assert list(ones(sum(1 << x for x in positions))) == positions
+
+
+@pytest.mark.parametrize("value, m, length, match", [
+    # At m = 2 and length 8: l = 2 and a 3-bit upper part; at length 5,
+    # l = 1 and a 4-bit upper part; at m = 3 and length 64, a 6-bit one.
+    (0b011, 3, 64, "upper part does not hold 3 ones"),
+    (0b1111, 2, 8, "upper part does not hold 2 ones"),
+    (0b011 | 0b0101 << 3, 2, 8, "does not increase strictly below 8"),  # 1, 1
+    (0b011 | 0b0110 << 3, 2, 8, "does not increase strictly below 8"),  # 2, 1
+    (0b1001 | 0b10 << 4, 2, 5, "does not increase strictly below 5"),  # 0, 5
+])
+def test_elias_fano_rejects_what_the_encoder_cannot_make(value, m, length, match):
+    with pytest.raises(CorruptIndexError, match=match):
+        ef_decode(value, m, length, "test")
