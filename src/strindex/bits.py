@@ -56,9 +56,9 @@ def ones(value):
 
 
 def _elias_fano(m, length):
-    """(l, upper) for an Elias-Fano list of m positions in [0, length): each
-    position keeps its low l bits, and position i's high part h is the one
-    at bit h + i of the upper part, which is `upper` bits long."""
+    """(l, upper) for an Elias-Fano list of m positions in [0, length): an
+    upper part of `upper` bits whose i-th one is at bit i plus position i's
+    high part, then each position's low l bits, the first lowest."""
     if not m:
         return 0, 0
     low = (length // m).bit_length() - 1
@@ -72,18 +72,15 @@ def ef_bits(m, length):
 
 
 def ef_encode(positions, length):
-    """The int of ef_bits(len(positions), length) bits that ef_decode parses:
-    the upper part of the strictly increasing positions in [0, length), then
-    each position's l low bits, the first lowest."""
+    """The Elias-Fano list of strictly increasing positions in [0, length)."""
     low, upper = _elias_fano(len(positions), length)
     highs = sum(1 << ((x >> low) + i) for i, x in enumerate(positions))
     return highs | join_fields([x & ((1 << low) - 1) for x in positions], low) << upper
 
 
 def ef_decode(value, m, length, what):
-    """The m positions of the Elias-Fano list in the low bits of `value`.
-    Raises CorruptIndexError, naming `what`, unless its upper part holds
-    exactly m ones and the positions increase strictly below length."""
+    """The m positions of the list in value's low bits; CorruptIndexError, naming
+    `what`, unless its upper part holds m ones and they rise strictly below length."""
     low, upper = _elias_fano(m, length)
     highs = value & ((1 << upper) - 1)
     if highs.bit_count() != m:

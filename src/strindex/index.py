@@ -3,13 +3,13 @@
 The sequence is cut into blocks of sigma consecutive positions (the last may
 be shorter).  Per block: a unary bitstring Z = 1^{n_0} 0 1^{n_1} 0 ... encodes
 symbol multiplicities, and lives only in the file's Z section, which no query
-reads; a monotone hash per present symbol ranks in-block occurrences; shortcut
-tables invert the block's stable-sort permutation; a predecessor structure per
-present symbol counts occurrences below a position.  Across blocks, queries
-route through an in-memory table of each symbol's per-block counts as prefix
-sums, which open derives from the counts Z encodes.  The file stores each
-of these facts once, in four sections, and ends in a CRC32 of every byte
-before it.
+reads; per present symbol, a monotone hash ranks in-block occurrences and a
+predecessor structure counts occurrences below a position, or one member list
+of its positions does both where that is smaller; shortcut tables invert the
+block's stable-sort permutation.  Across blocks, queries route through an
+in-memory table of each symbol's per-block counts as prefix sums, which open
+derives from the counts Z encodes.  The file stores each of these facts once,
+in four sections, and ends in a CRC32 of every byte before it.
 
 Build encodes every block's payloads straight into those sections and then
 opens the bytes as load does.  Open checks the file's structure and its CRC,
@@ -22,9 +22,9 @@ section sizes, so neither decodes a block.
 select walks: block via a binary search of that table (probe-free), then one
 permutation inversion (<= 2t+1 probes).  rank reads its block's entry of the
 table and adds a predecessor query whose accessor is the in-block select,
-giving (3 + ceil(log2 k)) * (2t+1) probes at worst.  access is a single
-probe.  The stored index never contains sequence symbols, only counts and
-permutation shortcuts.
+giving (3 + ceil(log2 k)) * (2t+1) probes at worst, or a member list's count,
+which makes none.  access is a single probe.  The stored index never contains
+sequence symbols, only counts, in-block positions and permutation shortcuts.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ from .errors import (
     StrindexError,
     require_integers,
 )
-from .mmphf import MonotoneHash, shared
+from .mmphf import MemberList, MonotoneHash, shared
 from .perm import ShortcutTable, eval_budget, stored_bits, stored_offsets
 from .pred import PredIndex, budget as scall_budget, max_k
 
 MAGIC = b"SSIX"
-VERSION = 4
+VERSION = 5
 
 _TAG_Z = 2
 _TAG_MMPHF = 3
@@ -65,6 +65,7 @@ _TAGS = (_TAG_Z, _TAG_MMPHF, _TAG_PRED, _TAG_SHORT)
 _HEADER = struct.Struct("<4sBQIIIQI")
 _TABLE_ENTRY = struct.Struct("<IQQ")
 _CRC = struct.Struct("<I")  # zlib.crc32 of every byte before it
+_LISTED = object()  # a pred section's `empty` entry: the set is a member list
 
 
 def select_budget(t):
@@ -176,8 +177,7 @@ class StringIndex:
                 f"k={k} outside [1, {max_k(sigma)}] for sigma={sigma}"
             )
         symbols = text.symbols()
-        hash_bits = [MonotoneHash.payload_bits(m, sigma) for m in range(sigma + 1)]
-        pred_bits = [PredIndex.payload_bits(m, sigma, k) for m in range(sigma + 1)]
+        kinds, hash_bits, pred_bits = _set_forms(sigma, k, sigma)
         hash_w, pred_w, short_w = BitWriter(), BitWriter(), BitWriter()
         block_counts = []
         for start in range(0, n, sigma):
@@ -193,7 +193,7 @@ class StringIndex:
                 keys = occ[c]
                 m = counts[c] = len(keys)
                 if hash_bits[m]:
-                    hfield |= MonotoneHash._encode(keys, sigma) << hpos
+                    hfield |= kinds[m]._encode(keys, sigma) << hpos
                     hpos += hash_bits[m]
                 if pred_bits[m]:
                     pfield |= PredIndex._encode(keys, sigma, k) << ppos
@@ -232,10 +232,14 @@ class StringIndex:
         stride = len(blocks) + 1
         counts = [list(map(sub, before[b + 1::stride], before[b::stride])) for b in bs]
         hash_sets = [_sets(hashes, b, cnt) for b, cnt in zip(bs, counts)]
-        pred_sets = [_sets(preds, b, cnt) for b, cnt in zip(bs, counts)]
+        pred_sets = [_sets(preds, b, cnt, h) for b, cnt, h in zip(bs, counts, hash_sets)]
         tables = [object.__new__(ShortcutTable)._decode(
                       read_bits(shortcuts, offsets[b], offsets[b + 1]),
                       min(sigma, self.n - b * sigma), self.t) for b in bs]
+        short = tables[-1].length  # only the last block can be shorter than sigma
+        if short < sigma and any(type(s) is MemberList and s._samples[-1] >= short
+                                 for s in hash_sets[-1]):  # a list holds 3 or more
+            raise CorruptIndexError(f"member list past its block's {short} positions")
         row = _row(sigma, sigma)
         for b, cnt, h, p, table in zip(bs, counts, hash_sets, pred_sets, tables):
             blk = blocks[b] = _Block(b * sigma, table.length, _prefix_counts(cnt, row),
@@ -428,16 +432,18 @@ class StringIndex:
         # depends only on its m, and a shortcut table's on its leading field.
         # No m exceeds sigma or the count of its symbol, a row's last entry.
         top = min(sigma, max(before[nblocks::nblocks + 1]))
+        kinds, hash_bits, pred_bits = _set_forms(sigma, k, top)
+        listed = {m: _LISTED for m, kind in enumerate(kinds) if kind is MemberList}
         sets = []
-        for tag, set_cls, params in ((_TAG_MMPHF, MonotoneHash, (sigma,)),
-                                     (_TAG_PRED, PredIndex, (sigma, k))):
-            sizes = [set_cls.payload_bits(m, *params) for m in range(top + 1)]
+        for tag, set_kinds, params, sizes, empty in (
+                (_TAG_MMPHF, kinds, (sigma,), hash_bits, {0: None}),
+                (_TAG_PRED, [PredIndex] * (top + 1), (sigma, k), pred_bits,
+                 {0: None, **listed})):
             offsets = array("Q", accumulate(
                 (sum(map(sizes.__getitem__, cnt)) for cnt in counts), initial=0))
             _finish_section(offsets[-1], sections[tag])
             # Kept with its memo and its map of sets that store nothing.
-            sets.append((sections[tag], offsets, set_cls, params, sizes,
-                         {}, {0: None}))
+            sets.append((sections[tag], offsets, set_kinds, params, sizes, {}, empty))
         shortcuts = sections[_TAG_SHORT]
         offsets, target_bits = stored_offsets(shortcuts, lengths, t)
         _finish_section(offsets[-1], shortcuts)
@@ -482,31 +488,48 @@ def _routing_table(block_counts):
     return table
 
 
-def _sets(section, b, counts):
+def _set_forms(sigma, k, top):
+    """Per m in [0, top], how a block stores a symbol of m occurrences: the
+    hash section's kind and bits, and the predecessor section's bits.  A
+    MemberList wherever it is strictly smaller than a MonotoneHash plus a
+    PredIndex, with nothing in the predecessor section; else those two."""
+    forms = []
+    for m in range(top + 1):
+        e, h = MemberList.payload_bits(m, sigma), MonotoneHash.payload_bits(m, sigma)
+        # A list smaller than the hash alone is smaller than both at any k.
+        p = PredIndex.payload_bits(m, sigma, k) if e >= h else 0
+        forms.append((MemberList, e, 0) if e < h + p else (MonotoneHash, h, p))
+    return map(list, zip(*forms))  # lists: open maps their __getitem__ over counts
+
+
+def _sets(section, b, counts, lists=None):
     """Block b's tuple of sets, entry c holding counts[c] members and None
     where that count is 0, from a hash or predecessor section as from_bytes
-    keeps it: its payloads are one field, split in symbol order.  The memo
-    shares sets with equal payloads across blocks; `empty` maps m to the one
-    set of m that stores nothing, and 0 to None."""
-    data, offsets, cls, params, sizes, memo, empty = section
+    keeps it: its payloads are one field, split in symbol order, each of m
+    members decoded as kinds[m].  The memo shares sets with equal payloads
+    across blocks; `empty` maps m to the one set of m that stores nothing, 0
+    to None, and an m stored as member lists to _LISTED: entry c is lists[c]."""
+    data, offsets, kinds, params, sizes, memo, empty = section
     start, end = offsets[b], offsets[b + 1]
     if start == end:  # every set of the block stores nothing
-        for m in set(counts).difference(empty):
-            empty[m] = shared(cls, 0, m, params, memo)
-        return tuple(map(empty.__getitem__, counts))
+        present = set(counts)
+        for m in present.difference(empty):
+            empty[m] = shared(kinds[m], 0, m, params, memo)
+        if _LISTED not in map(empty.get, present):
+            return tuple(map(empty.__getitem__, counts))
     field = read_bits(data, start, end)
     sets = [None] * len(counts)
     for c in compress(range(len(counts)), counts):
         m = counts[c]
         size = sizes[m]
         if size:
-            sets[c] = shared(cls, field & ((1 << size) - 1), m, params, memo)
+            sets[c] = shared(kinds[m], field & ((1 << size) - 1), m, params, memo)
             field >>= size
         else:
             s = empty.get(m)
             if s is None:
-                s = empty[m] = shared(cls, 0, m, params, memo)
-            sets[c] = s
+                s = empty[m] = shared(kinds[m], 0, m, params, memo)
+            sets[c] = lists[c] if s is _LISTED else s
     return tuple(sets)
 
 

@@ -29,17 +29,19 @@ This module also holds the codec that pred.PredIndex shares: widths(u), the
 trie payload (encode_trie, decode_trie, trie_bits) and shared(), the memo
 through which an index decodes each set at its block's first touch;
 pred.BlindTrie keeps the same (shift, left, right) trie form, plus each
-node's leaf range.
+node's leaf range.  MemberList is what an index stores in place of a hash and
+a predecessor set where it is smaller: the keys as u plain bits or a
+bits.ef_encode list, in memory a hash whose every bucket holds one key.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cache, lru_cache
 from itertools import islice
 from operator import index, lt
 
-from .bits import split_fields, width
+from .bits import ef_bits, ef_decode, ef_encode, ones, split_fields, width
 from .errors import CorruptIndexError, MalformedInputError, require_integers
 
 # Audit constants for the size bound checked by tests:
@@ -217,14 +219,14 @@ class MonotoneHash:
         keys = list(keys)
         self._decode(self.encode(keys, u), len(keys), u, {})
 
-    @staticmethod
-    def encode(keys, u):
+    @classmethod
+    def encode(cls, keys, u):
         """The payload stored for the strictly increasing integer keys over
         [u]; MalformedInputError for any other keys.  See _encode()."""
         if u < 1:
             raise MalformedInputError(f"universe size must be positive, got {u}")
         require_increasing_below(keys, u, "keys")
-        return MonotoneHash._encode(keys, u)
+        return cls._encode(keys, u)
 
     @staticmethod
     def _encode(keys, u):
@@ -328,3 +330,43 @@ class MonotoneHash:
             buckets.append(bucket)
         self.nbits = pos
         return self
+
+
+_leaves = cache((_LEAF,).__mul__)  # u -> the buckets of a member list over [u]
+
+
+class MemberList(MonotoneHash):
+    """m members over [u] as they are: u plain bits, bit x for member x, or
+    their bits.ef_encode list where that is smaller.  In memory a
+    MonotoneHash whose every bucket holds one key (w = 1, the members past
+    the first as samples), so that eval() and the walk rank a member with one
+    bisect; standing in for its pred.PredIndex, count() is one bisect too."""
+
+    __slots__ = ("_first",)
+
+    @staticmethod
+    def _encode(keys, u):
+        return (ef_encode(keys, u) if ef_bits(len(keys), u) < u
+                else sum(1 << x for x in keys))
+
+    @staticmethod
+    def payload_bits(m, u):
+        return min(u, ef_bits(m, u))
+
+    def _decode(self, payload, m, u, memo):
+        """Fill self from `payload`, or raise CorruptIndexError; see ef_decode."""
+        self.nbits = self.payload_bits(m, u)
+        if self.nbits == u:
+            members = list(ones(payload))
+            if len(members) != m:
+                raise CorruptIndexError(f"member bits do not hold {m} members")
+        else:
+            members = ef_decode(payload, m, u, "member")
+        self.m, self._w, self.payload = m, 1, payload
+        self._first, *self._samples = members
+        self._buckets = _leaves(u)
+        return self
+
+    def count(self, p, *_):
+        """Count of members < p, as pred.PredIndex.count gives it; no probe."""
+        return (self._first < p) + bisect_left(self._samples, p)

@@ -24,10 +24,8 @@ as a hash or predecessor set keeps one, holds the marks, then each mark's
 target in mark order as its rank among the table's m marks in width(m)
 bits: the same targets, which no walk reads.  The marks' form depends on
 (L, spacing) alone: L plain mark bits, or, where ceil(L / spacing) marks
-would be smaller so, the mark count m in width(L + 1) bits and then an
-Elias-Fano list of the marked positions in bits.ef_encode's layout (an
-upper part of m ones among m + ((L - 1) >> l) bits, the i-th one at bit i
-plus the position's high part, then each position's l low bits).
+would be smaller so, the mark count m in width(L + 1) bits and then the
+marked positions as a bits.ef_encode list.
 stored_bits() gives a stored table's size from its leading field, and
 stored_offsets() where each table of a section starts.
 encode() walks the cycles to make the payload, which build writes to the

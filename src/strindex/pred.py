@@ -23,7 +23,8 @@ PredIndex.count runs this search as one loop whose every S call is a direct
 call of a block's pi walk (perm.ShortcutTable.walk), with no per-query
 closure; PredIndex.rank(p, fetch) and BlindTrie.predecessor(p, fetch) are
 adapters for a plain accessor.  The widths, the trie payload and the shared()
-memo are mmphf's, the one codec of both set kinds.
+memo are mmphf's, the one codec of both set kinds.  An index keeps no PredIndex
+where a set's mmphf.MemberList is smaller: the list counts with one bisect.
 """
 
 from __future__ import annotations

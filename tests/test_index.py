@@ -30,7 +30,7 @@ from strindex import (
     select_budget,
 )
 from strindex.audit import Reference, make_workload
-from strindex.bits import BitReader, BitWriter, typecode, unary_counts, width
+from strindex.bits import BitReader, BitWriter, ef_bits, typecode, unary_counts, width
 from strindex.index import (
     _HEADER,
     _TABLE_ENTRY,
@@ -39,9 +39,10 @@ from strindex.index import (
     _TAG_SHORT,
     _TAG_Z,
     _TAGS,
+    _set_forms,
 )
 import strindex.index
-from strindex.mmphf import MonotoneHash
+from strindex.mmphf import MemberList, MonotoneHash
 from strindex.perm import ShortcutTable, eval_budget
 from strindex.pred import _EXPLICIT, _TRIE, PredIndex
 from strindex.text import RecordingText
@@ -388,11 +389,20 @@ def _zipf_text(n, sigma, seed):
     return ProbedText([bisect_right(cum, rng.randrange(acc)) for _ in range(n)], sigma)
 
 
+def _trie_text():
+    """A text whose index at k = 3 keeps predecessor tries: at sigma = 256
+    and k = 3 a hash plus a predecessor set is smaller than a member list
+    only at m = 8, whose one bucket of g = 8 members keeps 3 samples in a
+    trie, and three sets of its first block hold 8 members.  At sigma 64 or
+    less no set keeps a predecessor set past direct search."""
+    return _zipf_text(300, 256, seed=9)
+
+
 @pytest.mark.parametrize("text, t, k, sha256", [
     (make_random_text(3000, 64, seed=11), 4, 2,
-     "93e172d410d81dbe0b7d4c3ee52e26f60fc6a60e9323543e6c718651bbec85d5"),
+     "b37c357d773593e5fa0fdeb2fc724dd79ae58d502021ceb81a43adc97d4b9c03"),
     (_zipf_text(3000, 16, seed=12), 2, 2,
-     "11581e9ad46ef3ece9b903a5c87d6b6bb1992669e21d3893834f6fbd39fac411"),
+     "890dd99233a29691be8673313c8bb689ada2745dcee06d7d90e44630f28aa1ac"),
 ], ids=["uniform", "zipf"])
 def test_index_bytes_are_pinned(text, t, k, sha256):
     ix = build(text, t, k)
@@ -412,9 +422,9 @@ _PINNED_PROBES = [
     ("uniform", 1, "e7e057a9c41d3e0fafac16b37c215df3d3159d6228553a220b2861cd2d5a7c6d"),
     ("uniform", 2, "971d20ad2c34f690ded12051675c189c1b429b1fb32812202e93e9526dfe995b"),
     ("uniform", 5, "7456d64de19991b507c51982ce25e1b94a40f25d9e37538250e2d245dbd10949"),
-    ("zipf", 1, "f9c50813fe34df027f933ffe0ff29bd0060019ac53101058ac84856242ed3932"),
-    ("zipf", 2, "46ff52eec9827e8921abe84635c9bbf9b21c606862a9b80c8875e5f19ea6617c"),
-    ("zipf", 5, "ec9542293ed24466e4bc72bd283be6aaf74f99c48c4841128161c777aed6d68b"),
+    ("zipf", 1, "374e5453966dd430473b9bfcc20d89b4698d0bcc8cef60ea9a8d18ed3105d0ac"),
+    ("zipf", 2, "569c3132b274426df326690ac0c20f17a867c2e1a9f84d79b6dc626194d6a17f"),
+    ("zipf", 5, "f2bcb3e3d1d9a19ea3faec2659bd62ae0a098f4178bf3b955cda4782aed0c15b"),
 ]
 
 
@@ -431,6 +441,77 @@ def test_probe_counts_are_pinned(name, t, sha256):
         getattr(ix, kind)(text, session, c, arg)
         probes.append(session.count)
     assert hashlib.sha256(",".join(map(str, probes)).encode()).hexdigest() == sha256
+
+
+def test_each_set_takes_the_smaller_form_and_open_sizes_as_build_does():
+    """For every sigma in 2-1100, every k and every m: a symbol's sets are a
+    member list exactly where it is strictly smaller than a hash plus a
+    predecessor set, and then the predecessor section stores nothing for
+    them, so the stored bits are the smaller form's.  The tables open makes,
+    up to the largest count, are the start of build's.  Past the last m
+    where a list is no smaller than a hash alone, the list is the smaller
+    form at every k, since a predecessor set only adds bits; below it each
+    k is checked."""
+    for sigma in range(2, 1101):
+        ms = range(sigma + 1)
+        lists = [min(sigma, ef_bits(m, sigma)) for m in ms]
+        hashes = [MonotoneHash.payload_bits(m, sigma) for m in ms]
+        band = max(m for m in ms if lists[m] >= hashes[m]) + 1
+        built = list(_set_forms(sigma, 1, sigma))
+        assert built[0][band:] == [MemberList] * (sigma + 1 - band)
+        assert built[1][band:] == lists[band:]
+        assert built[2][band:] == [0] * (sigma + 1 - band)
+        for k in range(1, max_k(sigma) + 1):
+            want = [[], [], []]
+            for m in range(band):
+                e, h, p = lists[m], hashes[m], PredIndex.payload_bits(m, sigma, k)
+                form = (MemberList, e, 0) if e < h + p else (MonotoneHash, h, p)
+                assert form[1] + form[2] == min(e, h + p)
+                for column, value in zip(want, form):
+                    column.append(value)
+            got = list(_set_forms(sigma, k, band - 1))
+            assert got == want, (sigma, k)
+            if k == 1:
+                assert got == [column[:band] for column in built]
+
+
+def test_a_rank_on_a_listed_symbol_makes_no_probe():
+    """On the pinned zipf text, every rank inside a block on a symbol whose
+    sets there are a member list: the oracle's answer, for no probe."""
+    text = _PINNED_TEXTS["zipf"]
+    ix = build(text, t=2, k=2)
+    occ = positions_of(text)
+    ranks = 0
+    for blk in ix.blocks:
+        for c, pred in enumerate(blk.preds):
+            if type(pred) is not MemberList:
+                continue
+            assert blk.hashes[c] is pred
+            for p in range(blk.start + 1, blk.start + blk.length):
+                session = ProbeSession()
+                assert ix.rank(text, session, c, p) == brute_rank(occ, c, p)
+                assert session.count == 0, (c, p)
+                ranks += 1
+    assert ranks > 1000
+
+
+def test_a_member_list_past_a_short_last_block_is_corrupt():
+    """The last block holds 8 positions, and symbol 0 six of them: a list of
+    16 plain bits at sigma = 16, the whole hash section.  Moving its last
+    member to position 12, below sigma but past the block, keeps it a list
+    the codec reads; the block's decode rejects it."""
+    text = ProbedText(list(range(16)) + [0] * 6 + [1, 2], 16)
+    ix = build(text, t=2)
+    assert type(ix.blocks[1].hashes[0]) is MemberList
+    blob = bytearray(ix.to_bytes())
+    off, length = _section(blob, _TAG_MMPHF)
+    assert blob[off:off + length] == bytes([0b00111111, 0])
+    blob[off:off + 2] = bytes([0b00011111, 0b00010000])
+    loaded = StringIndex.from_bytes(_restamp(blob))
+    assert loaded.select(text, ProbeSession(), 0, 1) == 0  # block 0 decodes
+    with pytest.raises(CorruptIndexError, match="member list past its block's 8"):
+        loaded.rank(text, ProbeSession(), 0, 18)
+    assert loaded._blocks[1] is None
 
 
 def test_pairing_mismatch_detected_at_query_time():
@@ -496,9 +577,9 @@ def _section_texts(draw):
     return symbols, sigma, draw(st.integers(1, max_k(sigma)))
 
 
-# Block 0 stores nothing in either set section; in block 1, symbol 0's hash
-# and predecessor payloads are each wider than 64 bits.
-_EDGE_TEXT = (list(range(64)) + [0] * 40 + list(range(1, 25)), 64, 2)
+# Block 0 stores nothing in either set section; in block 1, symbol 0's 81
+# members are a list of 128 plain bits, which is also its predecessor entry.
+_EDGE_TEXT = (list(range(128)) + [0] * 80 + list(range(1, 49)), 128, 2)
 
 
 @pytest.mark.parametrize("t", [4, 5, 8])
@@ -529,10 +610,11 @@ def test_open_and_read_agree_on_every_tables_size(t):
 def test_edge_text_has_an_empty_block_and_a_wide_payload():
     symbols, sigma, k = _EDGE_TEXT
     ix = build(ProbedText(symbols, sigma), t=2, k=k)
-    for attr in ("hashes", "preds"):
-        sizes = [[s.nbits for s in getattr(blk, attr) if s is not None]
-                 for blk in ix.blocks]
-        assert sum(sizes[0]) == 0 and max(sizes[1]) > 64
+    sizes = [[s.nbits for s in blk.hashes if s is not None] for blk in ix.blocks]
+    assert sum(sizes[0]) == 0 and max(sizes[1]) > 64
+    wide = ix.blocks[1].hashes[0]
+    assert type(wide) is MemberList and ix.blocks[1].preds[0] is wide
+    assert ix.space_report().pred_bits == 0
 
 
 @settings(deadline=None, max_examples=100)
@@ -542,8 +624,10 @@ def test_set_sections_are_the_per_set_writes(case):
     symbols, sigma, k = case
     ix = build(ProbedText(symbols, sigma), t=2, k=k)
     blob = ix.to_bytes()  # the bytes the index holds, which build packed
+    # A member list is written once, in the hash section.
     for tag, per_block in ((_TAG_MMPHF, [blk.hashes for blk in ix.blocks]),
-                           (_TAG_PRED, [blk.preds for blk in ix.blocks]),
+                           (_TAG_PRED, [[p for p, h in zip(blk.preds, blk.hashes)
+                                         if p is not h] for blk in ix.blocks]),
                            (_TAG_SHORT, [(blk.shortcuts,) for blk in ix.blocks])):
         bw = BitWriter()
         for objs in per_block:
@@ -666,8 +750,7 @@ def test_load_reads_each_set_once_and_shares_equal_ones(monkeypatch):
 @pytest.mark.parametrize("tag", [_TAG_MMPHF, _TAG_PRED], ids=["mmphf", "pred"])
 @pytest.mark.parametrize("delta, match", [(-1, "truncated"), (1, "disagrees")])
 def test_hash_and_pred_section_of_the_wrong_length_is_corrupt(tag, delta, match):
-    # sigma=32, k=2: the heavy symbols' predecessor sets store payloads too.
-    blob = build(_zipf_text(3000, 32, seed=14), t=2, k=2).to_bytes()
+    blob = build(_trie_text(), t=2, k=3).to_bytes()  # both sections store bits
     off, length = _section(blob, tag)
     # Resize the section in the table; the bytes after it stay in the file.
     entry = _HEADER.size + _TAGS.index(tag) * _TABLE_ENTRY.size
@@ -762,27 +845,57 @@ def test_loaded_index_answers_as_built_with_equal_probes():
         assert s1.count == s2.count
 
 
-@pytest.mark.parametrize("tag, t", [(_TAG_MMPHF, 2), (_TAG_PRED, 2), (_TAG_SHORT, 2),
-                                    (_TAG_SHORT, 8)],
-                         ids=["mmphf", "pred", "short-plain", "short-elias-fano"])
-def test_hash_and_pred_bit_flips_fail_cleanly(tag, t):
+def _pred_paths(ix):
+    """How the predecessor entries of ix's blocks answer, counted: by a
+    member list, by direct search, or from top keys, and per bucket kind."""
+    paths = Counter()
+    for blk in ix.blocks:
+        for pred in filter(None, blk.preds):
+            if type(pred) is MemberList:
+                paths["list"] += 1
+            else:
+                paths["direct" if pred._top is None else "top"] += 1
+                paths.update(kind for kind, _ in pred._buckets or ())
+    return paths
+
+
+def _list_bits(ix):
+    """The bits of the hash section that member lists take."""
+    pos = 0
+    for blk in ix.blocks:
+        for h in filter(None, blk.hashes):
+            if type(h) is MemberList:
+                yield from range(pos, pos + h.nbits)
+            pos += h.nbits
+
+
+@pytest.mark.parametrize("tag, t, lists", [
+    (_TAG_MMPHF, 2, False), (_TAG_PRED, 2, False), (_TAG_SHORT, 2, False),
+    (_TAG_SHORT, 8, False), (_TAG_MMPHF, 2, True),
+], ids=["mmphf", "pred", "short-plain", "short-elias-fano", "list"])
+def test_hash_and_pred_bit_flips_fail_cleanly(tag, t, lists):
     """A sample of single-bit flips in the hash, predecessor or shortcut
-    section, the CRC re-stamped as a forger would: each mutant is rejected
-    at open, or answers each query or raises a StrindexError, at its block's
-    first decode or later.  Answers may be wrong; no other exception may
-    escape.  The shortcut tables keep plain mark bits at t = 2 and an
-    Elias-Fano list at t = 8."""
-    # sigma=32, k=2: predecessor buckets of 5 members keep 3 samples in a trie.
-    text = _zipf_text(500, 32, seed=13)
-    blob = build(text, t, k=2).to_bytes()
+    section, or in the member lists alone, the CRC re-stamped as a forger
+    would: each mutant is rejected at open, or answers each query or raises
+    a StrindexError, at its block's first decode or later.  Answers may be
+    wrong; no other exception may escape.  The shortcut tables keep plain
+    mark bits at t = 2 and an Elias-Fano list at t = 8; at sigma = 32 the
+    lists are plain bits or Elias-Fano lists, and the predecessor flips are
+    made in the tries of _trie_text."""
+    text, k = (_trie_text(), 3) if tag == _TAG_PRED else (_zipf_text(500, 32, seed=13), 2)
+    ix = build(text, t, k)
+    blob = ix.to_bytes()
     rng = random.Random(tag)
     queries = [("select", c, j) for c, positions in positions_of(text).items()
                for j in range(1, len(positions) + 1)]
     queries += [("rank", rng.randrange(text.sigma), rng.randrange(1, text.n))
                 for _ in range(300)]
     off, length = _section(blob, tag)
+    bits = list(_list_bits(ix)) if lists else range(8 * length)
+    if tag == _TAG_PRED:
+        assert _pred_paths(ix)[_TRIE]
     outcomes = Counter()
-    for bit in rng.sample(range(8 * length), min(8 * length, 200)):
+    for bit in rng.sample(bits, min(len(bits), 200)):
         flipped = bytearray(blob)
         flipped[off + bit // 8] ^= 1 << (bit % 8)
         try:
@@ -813,7 +926,7 @@ def test_load_decodes_a_block_at_its_first_query_only(monkeypatch):
     blk = built.blocks[b]
     report = built.space_report()
     calls = Counter()
-    for cls in (MonotoneHash, PredIndex, ShortcutTable):
+    for cls in (MonotoneHash, MemberList, PredIndex, ShortcutTable):
         def counted(self, *args, _cls=cls, _decode=cls._decode):
             calls[_cls] += 1
             return _decode(self, *args)
@@ -829,11 +942,12 @@ def test_load_decodes_a_block_at_its_first_query_only(monkeypatch):
         c = max(range(text.sigma), key=lambda c: blk.hashes[c].m if blk.hashes[c] else 0)
         j = ix.before[c * (len(built.blocks) + 1) + b] + 1  # c's first occurrence in block b
         assert ix.select(text, ProbeSession(), c, j) >= blk.start
+        # A member list is decoded once, for its hash and predecessor entries.
         assert calls == {
-            MonotoneHash: len({(h.m, h.payload) for h in blk.hashes if h is not None}),
-            PredIndex: len({(p.m, p.payload) for p in blk.preds if p is not None}),
-            ShortcutTable: 1,
-        }, opened
+            cls: len({(s.m, s.payload) for s in sets if type(s) is cls})
+            for cls, sets in ((MonotoneHash, blk.hashes), (MemberList, blk.hashes),
+                              (PredIndex, blk.preds))
+        } | {ShortcutTable: 1}, opened
         assert [b for b, got in enumerate(ix._blocks) if got is not None] == [b]
         calls.clear()
         ix.rank(text, ProbeSession(), c, blk.start + blk.length - 1)
@@ -857,13 +971,15 @@ def test_save_round_trips_with_none_some_or_all_blocks_decoded():
 
 
 def _small_v2_file():
-    # sigma=32, k=2: some predecessor buckets keep 3 samples in a trie, and
-    # every section ends in a partly used byte.
-    return build(_zipf_text(300, 32, seed=5), t=2, k=2)
+    # Some predecessor buckets keep 3 samples in a trie, and every section
+    # ends in a partly used byte.
+    return build(_trie_text(), t=2, k=3)
 
 
 def test_every_bit_flip_and_truncation_is_corrupt():
-    blob = _small_v2_file().to_bytes()
+    ix = _small_v2_file()
+    assert _pred_paths(ix)[_TRIE]
+    blob = ix.to_bytes()
     for bit in range(8 * len(blob)):
         flipped = bytearray(blob)
         flipped[bit // 8] ^= 1 << (bit % 8)
@@ -947,25 +1063,31 @@ def test_moved_shortcut_target_answers_or_exceeds_the_budget():
     assert over and answered
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_rank_loop_agrees_with_its_adapter(k):
-    # sigma=32: buckets of g=5 members, so k=1 and k=2 sample 5 and 3 (a trie)
-    # and k=3 samples 2 (kept verbatim); a bucket's last members, past its
-    # last sample, make the in-bucket binary search.
-    text = _zipf_text(2000, 32, seed=k)
+    """Every rank inside the blocks of _trie_text: the index's answer and
+    probes against PredIndex.rank over a plain accessor, and, for a member
+    list, against the oracle at no probe.  At sigma = 256 a set of 8 members
+    keeps a predecessor set at k >= 3, one bucket of g = 8 members: k = 3
+    samples 3 (a trie), and k = 4 samples 2 (kept verbatim), whose last
+    members, past the last sample, make the in-bucket binary search.  At
+    k <= 2 every set past direct search is a member list."""
+    text = _trie_text()
     ix = build(text, t=2, k=k)
-    paths = Counter()
+    occ = positions_of(text)
     for b, blk in enumerate(ix.blocks):
         for c, pred in enumerate(blk.preds):
             if pred is None:
                 continue
-            paths["direct" if pred._top is None else "top"] += 1
-            paths.update(kind for kind, _ in pred._buckets or ())
             prior = ix.before[c * (len(ix.blocks) + 1) + b]
             first = blk.base[c]
             for p_local in range(1, blk.length):
                 s1, s2 = ProbeSession(), ProbeSession()
                 got = ix.rank(text, s1, c, blk.start + p_local)
+                if type(pred) is MemberList:
+                    assert got == brute_rank(occ, c, blk.start + p_local), (b, c, p_local)
+                    assert s1.count == 0
+                    continue
 
                 def fetch(r):
                     return blk.shortcuts.walk(first + r, text, s2, blk.start,
@@ -973,8 +1095,10 @@ def test_rank_loop_agrees_with_its_adapter(k):
 
                 assert got == prior + pred.rank(p_local, fetch), (b, c, p_local)
                 assert s1.count == s2.count
-    assert paths["direct"] and paths["top"]
-    assert paths[_TRIE if k < 3 else _EXPLICIT]
+    paths = _pred_paths(ix)
+    assert paths["direct"] and paths["list"]
+    assert paths[{3: _TRIE, 4: _EXPLICIT}.get(k, "list")]
+    assert (paths["top"] > 0) == (k >= 3)
 
 
 def _walk_reads(monkeypatch):
@@ -1086,24 +1210,34 @@ def test_an_index_that_disagrees_with_its_text_fails_cleanly(monkeypatch):
 
 
 def _hash_kind(h):
-    """A hash's kind as walk() meets it: sampled, or its one bucket's."""
+    """A hash's kind as walk() meets it: a member list, sampled, or its one
+    bucket's."""
+    if type(h) is MemberList:
+        return "list"
     if h._samples:
         return "sampled"
     return ("one key", "pair")[len(h._buckets[0][0])] if h.m < 3 else "trie"
 
 
-_PINNED_INDEXES = [("uniform", 4), ("zipf", 2)]  # t, with k = 2, as pinned
+# (text, t, k, the hash kinds its walks meet): the pinned indexes, and one
+# where, at sigma = 256 and k = 8, sets of 9 and 10 members keep a hash,
+# which samples a separator, in place of a member list.
+_WALK_INDEXES = {
+    "uniform": (_PINNED_TEXTS["uniform"], 4, 2, {"one key", "pair", "trie"}),
+    "zipf": (_PINNED_TEXTS["zipf"], 2, 2, {"one key", "pair", "trie", "list"}),
+    "sampled": (_zipf_text(2000, 256, seed=3), 2, 8, {"sampled", "list"}),
+}
 
 
-@pytest.mark.parametrize("name, t", _PINNED_INDEXES,
-                         ids=[name for name, _ in _PINNED_INDEXES])
-def test_a_walk_steps_as_the_reference_hash_does(name, t):
+@pytest.mark.parametrize("name", sorted(_WALK_INDEXES))
+def test_a_walk_steps_as_the_reference_hash_does(name):
     """Every select's walk, as a recording text logged its reads: each read
     is the q the select asks for or its back-jump, then base[c] +
     MonotoneHash.eval(x) of the read before it, or that value's back-jump,
-    and the last read's step is q.  The walks meet a hash of every kind."""
-    text = _PINNED_TEXTS[name]
-    ix = build(text, t, k=2)
+    and the last read's step is q.  Between them the walks meet a hash of
+    every kind, and member lists."""
+    text, t, k, want = _WALK_INDEXES[name]
+    ix = build(text, t, k)
     rec = RecordingText(text)
     symbols = text.symbols()
     sigma = text.sigma
@@ -1125,7 +1259,7 @@ def test_a_walk_steps_as_the_reference_hash_does(name, t):
                 kinds.add(_hash_kind(h))
                 x = blk.base[symbols[read]] + h.eval(x)
             assert x == q and rec.log[-1] == got
-    assert kinds >= ({"one key", "pair", "trie"} if name == "uniform" else {"sampled"})
+    assert kinds >= want
 
 
 def _python_calls(query):

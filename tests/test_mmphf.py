@@ -12,8 +12,9 @@ from strindex import (
     PredIndex,
     ShortcutTable,
 )
-from strindex.bits import BitReader, BitWriter, width
+from strindex.bits import BitReader, BitWriter, ef_bits, ef_encode, width
 from strindex.mmphf import (
+    MemberList,
     SIZE_C,
     SIZE_CPRIME,
     _bucket,
@@ -360,3 +361,48 @@ def test_sets_reject_non_integer_keys(make, keys):
     with pytest.raises(MalformedInputError, match="strictly increasing integers"):
         make(keys)
     make([False, True])  # a bool is an integer
+
+
+@st.composite
+def _member_sets(draw):
+    u = draw(st.integers(2, 300))
+    return sorted(draw(st.sets(st.integers(0, u - 1), min_size=1, max_size=u))), u
+
+
+@settings(deadline=None, max_examples=300)
+@given(_member_sets())
+def test_a_member_list_is_the_smaller_of_plain_bits_and_elias_fano(case):
+    """A list is u plain bits, bit x for member x, or the Elias-Fano list
+    where that is strictly smaller; it reads back as the members, eval()
+    gives a member's rank, count(p) the members below p, and its walk
+    fields are a hash's whose every bucket holds one key."""
+    keys, u = case
+    m = len(keys)
+    lst = MemberList(keys, u)
+    plain = u <= ef_bits(m, u)
+    assert lst.nbits == MemberList.payload_bits(m, u) == min(u, ef_bits(m, u))
+    assert lst.payload == (sum(1 << x for x in keys) if plain else ef_encode(keys, u))
+    assert lst.payload.bit_length() <= lst.nbits
+    assert [lst._first, *lst._samples] == keys
+    assert lst._w == 1 and set(lst._buckets[:m]) <= {((), (), ())}
+    assert [lst.eval(x) for x in keys] == list(range(m))
+    for p in range(u + 1):
+        assert lst.count(p, "walk", "and", "the", "rest") == sum(x < p for x in keys)
+    back = object.__new__(MemberList)._decode(lst.payload, m, u, {})
+    assert (back.payload, back.nbits, back._samples) == (lst.payload, lst.nbits,
+                                                         lst._samples)
+
+
+@pytest.mark.parametrize("payload, m, u, match", [
+    # Plain: 8 bits at m = 5 and u = 8, which hold 4 or 6 members.
+    (0b00001111, 5, 8, "member bits do not hold 5 members"),
+    (0b00111111, 5, 8, "member bits do not hold 5 members"),
+    # Elias-Fano at m = 3 and u = 64: l = 4 and a 6-bit upper part; members
+    # 5, 5, 5 and then 9, 5, 6.
+    (0b000011, 3, 64, "member list's upper part does not hold 3 ones"),
+    (0b000111 | (5 | 5 << 4 | 5 << 8) << 6, 3, 64, "increase strictly below 64"),
+    (0b000111 | (9 | 5 << 4 | 6 << 8) << 6, 3, 64, "increase strictly below 64"),
+])
+def test_a_member_list_the_encoder_cannot_make_is_corrupt(payload, m, u, match):
+    with pytest.raises(CorruptIndexError, match=match):
+        object.__new__(MemberList)._decode(payload, m, u, {})
