@@ -15,9 +15,9 @@ Build encodes every block's payloads straight into those sections and then
 opens the bytes as load does.  Open checks the file's structure and its CRC,
 builds that table and records where each block's fields start, but decodes
 no block: a query decodes its block on first touch, and `blocks` every block
-still undecoded.  The index keeps the file bytes once, with its sections as
-views into them; save returns those bytes and the space report reads the
-section sizes, so neither decodes a block.
+still undecoded, one by one.  The index keeps the file bytes once, with its
+sections as views into them; save returns those bytes and the space report
+reads the section sizes, so neither decodes a block.
 
 select walks: block via a binary search of that table (probe-free), then one
 permutation inversion (<= 2t+1 probes).  rank reads its block's entry of the
@@ -33,6 +33,7 @@ import struct
 import zlib
 from array import array
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate, compress
@@ -65,7 +66,6 @@ _TAGS = (_TAG_Z, _TAG_MMPHF, _TAG_PRED, _TAG_SHORT)
 _HEADER = struct.Struct("<4sBQIIIQI")
 _TABLE_ENTRY = struct.Struct("<IQQ")
 _CRC = struct.Struct("<I")  # zlib.crc32 of every byte before it
-_LISTED = object()  # a pred section's `empty` entry: the set is a member list
 
 
 def select_budget(t):
@@ -143,14 +143,16 @@ class StringIndex:
         # before[c * (nblocks + 1) + b]: occurrences of c in blocks < b; the
         # row's last entry is count(c).
         self.before = before
-        # _blocks[b]: block b, or None until _decode reads it from _sections,
-        # which are kept while _pending blocks are undecoded.
+        # _blocks[b]: block b, or None until _decode reads it from _sections:
+        # the set forms, then per section its bytes, its block offsets and its
+        # memo (the shortcut section's target bits in place of a memo), kept
+        # while _pending blocks are undecoded.
         self._blocks = [None] * nblocks
         self._sections = sections
         self._pending = nblocks
         # The hash, predecessor and shortcut sections' sizes in bits, and the
         # shortcut target fields' share of the last.
-        self._bits = (*(offsets[-1] for _, offsets, *_ in sections), sections[-1][-1])
+        self._bits = (*(offsets[-1] for _, offsets, _ in sections[1:]), sections[-1][-1])
         self._sel_budget = select_budget(t)
         self._rnk_budget = rank_budget(t, k)
         self._paired = None
@@ -217,34 +219,50 @@ class StringIndex:
 
     @property
     def blocks(self):
-        """Every block, decoding at once those that no query has touched."""
+        """Every block, decoding those that no query has touched, one by one."""
         if self._pending:
-            self._decode([b for b, blk in enumerate(self._blocks) if blk is None])
+            for b, blk in enumerate(self._blocks):
+                if blk is None:
+                    self._decode(b)
         return self._blocks
 
-    def _decode(self, bs):
-        """Decode, keep and return blocks bs, the last of them; a payload the
-        encoder cannot make raises CorruptIndexError and keeps none.  Each
-        section is decoded for all of bs in turn, which decodes every block
-        faster than block by block does."""
-        hashes, preds, (shortcuts, offsets, _) = self._sections
-        blocks, before, sigma = self._blocks, self.before, self.sigma
-        stride = len(blocks) + 1
-        counts = [list(map(sub, before[b + 1::stride], before[b::stride])) for b in bs]
-        hash_sets = [_sets(hashes, b, cnt) for b, cnt in zip(bs, counts)]
-        pred_sets = [_sets(preds, b, cnt, h) for b, cnt, h in zip(bs, counts, hash_sets)]
-        tables = [object.__new__(ShortcutTable)._decode(
-                      read_bits(shortcuts, offsets[b], offsets[b + 1]),
-                      min(sigma, self.n - b * sigma), self.t) for b in bs]
-        short = tables[-1].length  # only the last block can be shorter than sigma
-        if short < sigma and any(type(s) is MemberList and s._samples[-1] >= short
-                                 for s in hash_sets[-1]):  # a list holds 3 or more
-            raise CorruptIndexError(f"member list past its block's {short} positions")
-        row = _row(sigma, sigma)
-        for b, cnt, h, p, table in zip(bs, counts, hash_sets, pred_sets, tables):
-            blk = blocks[b] = _Block(b * sigma, table.length, _prefix_counts(cnt, row),
-                                     h, p, table)
-        self._pending -= len(bs)
+    def _decode(self, b):
+        """Decode, keep and return block b; a payload the encoder cannot make
+        raises CorruptIndexError and keeps b undecoded.  One loop over the
+        present symbols splits the block's hash and predecessor fields in
+        symbol order; a member list is its symbol's entry in both."""
+        ((kinds, hash_bits, pred_bits), (hashes, hoff, hmemo), (preds, poff, pmemo),
+         (shortcuts, soff, _)) = self._sections
+        sigma, k, stride = self.sigma, self.k, len(self._blocks) + 1
+        counts = list(map(sub, self.before[b + 1::stride], self.before[b::stride]))
+        length = min(sigma, self.n - b * sigma)
+        # No read where every set of the block stores nothing.
+        hfield = read_bits(hashes, hoff[b], hoff[b + 1]) if hoff[b] < hoff[b + 1] else 0
+        pfield = read_bits(preds, poff[b], poff[b + 1]) if poff[b] < poff[b + 1] else 0
+        hsets, psets = [None] * sigma, [None] * sigma
+        # Each set is looked up in its section's memo first, which saves a
+        # shared() call per set; no set is falsy.
+        for c in compress(range(sigma), counts):
+            m = counts[c]
+            payload = hfield & ((1 << hash_bits[m]) - 1)
+            hfield >>= hash_bits[m]
+            h = hsets[c] = (hmemo[m].get(payload)
+                            or shared(kinds[m], payload, m, (sigma,), hmemo))
+            if kinds[m] is not MemberList:
+                payload = pfield & ((1 << pred_bits[m]) - 1)
+                pfield >>= pred_bits[m]
+                psets[c] = (pmemo[m].get(payload)
+                            or shared(PredIndex, payload, m, (sigma, k), pmemo))
+            elif h._samples[-1] < length:  # a list holds 3 or more
+                psets[c] = h
+            else:
+                raise CorruptIndexError(f"member list past its block's {length} positions")
+        table = object.__new__(ShortcutTable)._decode(
+            read_bits(shortcuts, soff[b], soff[b + 1]), length, self.t)
+        blk = self._blocks[b] = _Block(b * sigma, length,
+                                       _prefix_counts(counts, _row(sigma, sigma)),
+                                       tuple(hsets), tuple(psets), table)
+        self._pending -= 1
         if not self._pending:
             self._sections = None  # the memos, which nothing reads now
         return blk
@@ -295,9 +313,7 @@ class StringIndex:
                 return -1
             b = bisect_left(table, j, row, end) - 1 - row
             jp = j - table[row + b]
-            blk = self._blocks[b]
-            if blk is None:
-                blk = self._decode((b,))
+            blk = self._blocks[b] or self._decode(b)  # a block is never falsy
             base = blk.base
             answer = blk.start + blk.shortcuts.walk(
                 base[c] + jp - 1, text, session, blk.start, base, blk.hashes
@@ -326,9 +342,7 @@ class StringIndex:
             answer = self.before[c * (len(self._blocks) + 1) + b]
             if p_local == 0:
                 return answer
-            blk = self._blocks[b]
-            if blk is None:
-                blk = self._decode((b,))
+            blk = self._blocks[b] or self._decode(b)  # a block is never falsy
             pred = blk.preds[c]
             if pred is not None:
                 if p_local >= blk.length:
@@ -390,12 +404,15 @@ class StringIndex:
 
     @classmethod
     def from_bytes(cls, data):
+        try:  # only a bytes-like object: bytes(5) would make five zero bytes
+            memoryview(data)
+        except TypeError:
+            raise MalformedInputError(
+                f"index data must be bytes-like, got {type(data).__name__}") from None
         data = bytes(data)  # kept once; the sections are views into it
         if len(data) < _HEADER.size:
             raise CorruptIndexError("index header truncated")
-        magic, version, n, sigma, t, k, fingerprint, nsections = _HEADER.unpack_from(
-            data, 0
-        )
+        magic, version, n, sigma, t, k, fingerprint, nsections = _HEADER.unpack_from(data)
         if magic != MAGIC:
             raise CorruptIndexError(f"bad magic {magic!r}")
         if version != VERSION:
@@ -432,18 +449,13 @@ class StringIndex:
         # depends only on its m, and a shortcut table's on its leading field.
         # No m exceeds sigma or the count of its symbol, a row's last entry.
         top = min(sigma, max(before[nblocks::nblocks + 1]))
-        kinds, hash_bits, pred_bits = _set_forms(sigma, k, top)
-        listed = {m: _LISTED for m, kind in enumerate(kinds) if kind is MemberList}
+        forms = _set_forms(sigma, k, top)
         sets = []
-        for tag, set_kinds, params, sizes, empty in (
-                (_TAG_MMPHF, kinds, (sigma,), hash_bits, {0: None}),
-                (_TAG_PRED, [PredIndex] * (top + 1), (sigma, k), pred_bits,
-                 {0: None, **listed})):
+        for tag, sizes in ((_TAG_MMPHF, forms[1]), (_TAG_PRED, forms[2])):
             offsets = array("Q", accumulate(
                 (sum(map(sizes.__getitem__, cnt)) for cnt in counts), initial=0))
             _finish_section(offsets[-1], sections[tag])
-            # Kept with its memo and its map of sets that store nothing.
-            sets.append((sections[tag], offsets, set_kinds, params, sizes, {}, empty))
+            sets.append((sections[tag], offsets, defaultdict(dict)))  # with its memo
         shortcuts = sections[_TAG_SHORT]
         offsets, target_bits = stored_offsets(shortcuts, lengths, t)
         _finish_section(offsets[-1], shortcuts)
@@ -459,7 +471,7 @@ class StringIndex:
         if zlib.crc32(data[:end]) != _CRC.unpack_from(data, end)[0]:
             raise CorruptIndexError("index checksum mismatch")
         return cls(data, n, sigma, t, k, fingerprint, sections[_TAG_Z], before,
-                   nblocks, (*sets, (shortcuts, offsets, target_bits)))
+                   nblocks, (forms, *sets, (shortcuts, offsets, target_bits)))
 
 
 @lru_cache(maxsize=32)  # every block of a load asks for the same row
@@ -499,38 +511,7 @@ def _set_forms(sigma, k, top):
         # A list smaller than the hash alone is smaller than both at any k.
         p = PredIndex.payload_bits(m, sigma, k) if e >= h else 0
         forms.append((MemberList, e, 0) if e < h + p else (MonotoneHash, h, p))
-    return map(list, zip(*forms))  # lists: open maps their __getitem__ over counts
-
-
-def _sets(section, b, counts, lists=None):
-    """Block b's tuple of sets, entry c holding counts[c] members and None
-    where that count is 0, from a hash or predecessor section as from_bytes
-    keeps it: its payloads are one field, split in symbol order, each of m
-    members decoded as kinds[m].  The memo shares sets with equal payloads
-    across blocks; `empty` maps m to the one set of m that stores nothing, 0
-    to None, and an m stored as member lists to _LISTED: entry c is lists[c]."""
-    data, offsets, kinds, params, sizes, memo, empty = section
-    start, end = offsets[b], offsets[b + 1]
-    if start == end:  # every set of the block stores nothing
-        present = set(counts)
-        for m in present.difference(empty):
-            empty[m] = shared(kinds[m], 0, m, params, memo)
-        if _LISTED not in map(empty.get, present):
-            return tuple(map(empty.__getitem__, counts))
-    field = read_bits(data, start, end)
-    sets = [None] * len(counts)
-    for c in compress(range(len(counts)), counts):
-        m = counts[c]
-        size = sizes[m]
-        if size:
-            sets[c] = shared(kinds[m], field & ((1 << size) - 1), m, params, memo)
-            field >>= size
-        else:
-            s = empty.get(m)
-            if s is None:
-                s = empty[m] = shared(kinds[m], 0, m, params, memo)
-            sets[c] = lists[c] if s is _LISTED else s
-    return tuple(sets)
+    return tuple(map(list, zip(*forms)))  # lists: open maps their __getitem__ over counts
 
 
 def _finish_section(nbits, payload):

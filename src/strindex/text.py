@@ -25,6 +25,7 @@ from .errors import (
     MalformedInputError,
     OutOfRangeError,
     SigmaExceedsLengthError,
+    require_integers,
 )
 
 FORMATS = ("raw8", "u32le", "tokens")
@@ -51,6 +52,7 @@ class ProbedText:
     __slots__ = ("_payload", "reads", "_n", "_sigma", "_fingerprint")
 
     def __init__(self, symbols, sigma):
+        require_integers(sigma=sigma)
         payload = tuple(symbols)
         if not payload:
             raise EmptyTextError("text must contain at least one symbol")
@@ -182,6 +184,7 @@ def load(data, fmt, declared_sigma=None):
     if not symbols:
         raise EmptyTextError("input contains no symbols")
     if declared_sigma is not None:
+        require_integers(sigma=declared_sigma)
         if declared_sigma < 2:
             raise MalformedInputError(f"sigma must be at least 2, got {declared_sigma}")
         sigma = declared_sigma  # ProbedText rejects symbols outside it

@@ -819,6 +819,52 @@ def test_shortcut_target_past_the_block_is_corrupt(target):
         loaded.blocks
 
 
+
+def test_a_fault_in_a_middle_block_keeps_the_blocks_before_it():
+    """A shortcut target rank past its block's 6 marks in block 4 of 10, the
+    CRC re-stamped: blocks decodes and keeps blocks 0-3, and each call raises
+    the same CorruptIndexError, block 4 staying undecoded; queries into
+    blocks 0-3 answer as the oracle does."""
+    text = make_random_text(120, 12, seed=3)
+    ix = build(text, t=2)
+    b = 4
+    shortcuts = ix.blocks[b].shortcuts
+    m = sum(map(bool, shortcuts.jumps))
+    assert m == 6 and shortcuts.nbits == shortcuts.length + m * width(m)
+    blob = bytearray(ix.to_bytes())
+    # Block 4's mark bits come first in its field, then its target ranks,
+    # of width(6) = 3 bits; the first becomes 7.
+    off = (8 * _section(blob, _TAG_SHORT)[0] + shortcuts.length
+           + sum(blk.shortcuts.nbits for blk in ix.blocks[:b]))
+    for i in range(width(m)):
+        byte, bit = divmod(off + i, 8)
+        blob[byte] |= 1 << bit
+    loaded = StringIndex.from_bytes(_restamp(blob))
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(CorruptIndexError, match="shortcut target") as err:
+            loaded.blocks
+        messages.add(str(err.value))
+        assert [blk is not None for blk in loaded._blocks] == [True] * b + [False] * 6
+    assert len(messages) == 1
+    ref = Reference(text)
+    end = b * text.sigma
+    for c in range(text.sigma):
+        for j in range(1, ref.rank(c, end) + 1):
+            assert loaded.select(text, ProbeSession(), c, j) == ref.select(c, j)
+        for p in range(end + 1):
+            assert loaded.rank(text, ProbeSession(), c, p) == ref.rank(c, p)
+
+
+def test_from_bytes_takes_only_bytes_like_data():
+    blob = build(make_random_text(100, 8, seed=1), t=2).to_bytes()
+    for data in (bytearray(blob), memoryview(blob), array("B", blob)):
+        assert StringIndex.from_bytes(data).to_bytes() == blob
+    # bytes(5) would be five zero bytes, and bytes([83, 83]) two bytes.
+    for data in (5, "abc", None, [83, 83]):
+        with pytest.raises(MalformedInputError, match="bytes-like, got"):
+            StringIndex.from_bytes(data)
+
 def test_build_and_load_leave_no_cyclic_garbage():
     # sigma=32, k=2: buckets of 5 keys, so both kinds of bucket trie are decoded.
     text = _zipf_text(3000, 32, seed=14)

@@ -252,3 +252,12 @@ def test_non_integer_symbols_are_malformed(symbols):
     # Such symbols fail the range check's comparisons before any packing.
     with pytest.raises(MalformedInputError, match="integers"):
         ProbedText(symbols, 2)
+
+
+@pytest.mark.parametrize("sigma", [3.0, 2.5, "5"])
+def test_a_non_integer_sigma_is_malformed(sigma):
+    # 3.0 was once accepted here, and build then failed inside the bit widths.
+    with pytest.raises(MalformedInputError, match="sigma must be an integer"):
+        ProbedText([0, 1, 1], sigma)
+    with pytest.raises(MalformedInputError, match="sigma must be an integer"):
+        load(bytes([0, 1, 1]), "raw8", sigma)
